@@ -15,15 +15,21 @@ and prints the per-layer metrics.  Either way the last stdout line is one
 JSON object with the keys correct, attempted, failed and metrics; the full
 record, with provenance, digests and spans, goes to
 `.bench_work/results/`.
+
+The runner removes QNLDYN_CACHE_DIR from its environment, so every run
+builds the morse eigenbasis as a default `qnldyn` call does, whatever
+an earlier run left on disk.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -44,8 +50,9 @@ import checks  # noqa: E402
 import tracing  # noqa: E402
 from workloads import WORKLOADS, chain, write_configs  # noqa: E402
 
-#: Fresh interpreters started per run to time set-up; the median is reported.
-SETUP_PROBES = 5
+#: Fresh interpreters started per untraced run to time set-up, spread
+#: between the chains; the median is reported.
+SETUP_PROBES = 13
 
 #: Fewest timed chains per run (per kind in a traced run), whatever --seconds says.
 MIN_CHAINS = 3
@@ -107,24 +114,16 @@ def provenance(args, t_start) -> dict:
 
 
 def git_commit() -> str:
-    """HEAD of the checkout, read from .git without leaving the checkout."""
-    git = os.path.join(ROOT, ".git")
+    """HEAD of the checkout; git is not asked when the checkout has no .git,
+    so it never searches the directories above the checkout."""
+    if not os.path.exists(os.path.join(ROOT, ".git")):
+        return "unknown (not a git checkout)"
     try:
-        with open(os.path.join(git, "HEAD"), encoding="utf-8") as fh:
-            head = fh.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        with contextlib.suppress(OSError):
-            with open(os.path.join(git, ref), encoding="utf-8") as fh:
-                return fh.read().strip()
-        with open(os.path.join(git, "packed-refs"), encoding="utf-8") as fh:
-            for line in fh:
-                if line.rstrip().endswith(" " + ref):
-                    return line.split()[0]
-    except OSError:
-        pass
-    return "unknown (not a git checkout)"
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                             text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown (git rev-parse failed)"
+    return out.stdout.strip()
 
 
 @dataclass
@@ -133,6 +132,7 @@ class Measurement:
 
     walls: dict = field(default_factory=lambda: {True: [], False: []})  # traced? -> s
     cpus: list = field(default_factory=list)  # CPU seconds of the untraced chains
+    setup: list = field(default_factory=list)  # seconds per set-up probe
     layer_rows: list = field(default_factory=list)  # (chain_metrics, spans) per traced chain
     problems: list = field(default_factory=list)
     digests: set = field(default_factory=set)
@@ -141,12 +141,15 @@ class Measurement:
     peak_rss_mb: float = 0.0
 
 
-def measure(cli_main, steps, outdir, seconds, tracer) -> Measurement:
+def measure(cli_main, steps, outdir, seconds, tracer, probe=None) -> Measurement:
     """Run chains back to back until `seconds` of chain time is measured.
 
     With a tracer, the run opens with a traced chain (so peak-RSS rises
     show in its spans), then alternates untraced and traced chains.
-    Outputs are checked and hashed after each chain, untimed.
+    Outputs are checked and hashed after each chain, untimed.  With a
+    probe, SETUP_PROBES set-up times are taken between chains, in step
+    with the chain time measured so far, so that set-up and chains are
+    timed over the same stretch of the host's load.
     """
     m = Measurement()
     measured = 0.0
@@ -184,6 +187,11 @@ def measure(cli_main, steps, outdir, seconds, tracer) -> Measurement:
             m.problems.extend(f"chain {i}: {p}" for p in found)
         if chain_ok:
             m.digests.add(checks.digest(steps))
+        if probe is not None:  # all SETUP_PROBES are due once `seconds` is measured
+            due = (SETUP_PROBES if measured >= seconds
+                   else math.ceil(SETUP_PROBES * measured / seconds))
+            while len(m.setup) < due:
+                m.setup.append(probe())
         i += 1
     return m
 
@@ -204,11 +212,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     sys.path.insert(0, SRC)
+    from qnldyn.cli import CACHE_ENV
     from qnldyn.cli import main as cli_main
     from qnldyn.config import load_config
 
+    os.environ.pop(CACHE_ENV, None)  # read per call; set-up probes inherit the removal
     workdir = os.path.join(WORK, args.workload)
-    setup = [setup_time(args.workload, args.seed, workdir) for _ in range(SETUP_PROBES)]
     write_configs(args.workload, args.seed, workdir)
     steps = chain(args.workload, workdir)
     n_samples = sum(load_config(s.config).n_samples for s in steps if s.config)
@@ -218,7 +227,11 @@ def main(argv=None) -> int:
     if args.trace:
         tracer = tracing.Tracer()
         tracing.install(tracer)
-    m = measure(cli_main, steps, outdir, args.seconds, tracer)
+    probe = None
+    if not args.trace:
+        probe_dir = os.path.join(workdir, "probe")
+        probe = functools.partial(setup_time, args.workload, args.seed, probe_dir)
+    m = measure(cli_main, steps, outdir, args.seconds, tracer, probe)
 
     if args.trace:
         # The first traced chain only supplies the peak-RSS rises.
@@ -237,7 +250,7 @@ def main(argv=None) -> int:
             "wall_s": wall_s,
             "samples_per_s": n_samples / wall_s,
             "cpu_s": statistics.median(m.cpus),
-            "setup_s": statistics.median(setup),
+            "setup_s": statistics.median(m.setup),
             "peak_rss_mb": m.peak_rss_mb,
         }
         units = END_TO_END
@@ -249,7 +262,7 @@ def main(argv=None) -> int:
         "provenance": provenance(args, WORKLOADS[args.workload].t_start(args.seed)),
         "digests": sorted(m.digests),
         "chains": {"untraced_wall_s": m.walls[False], "traced_wall_s": m.walls[True],
-                   "cpu_s": m.cpus, "setup_s": setup},
+                   "cpu_s": m.cpus, "setup_s": m.setup},
         "problems": m.problems,
         "metrics": metrics,
         "spans": [spans for _, spans in m.layer_rows],

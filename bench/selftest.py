@@ -11,6 +11,8 @@ Runs one traced chain of every workload on two seeds and shows that:
   work (kerr level-samples, recurrence window, lyapunov tree builds, and
   every other size the seed must not change).  The bjj-lyapunov digest
   is the exception, noted rather than failed: see SEED_BLIND_DIGEST;
+- the wrapped functions cover each chain: the time inside commands that
+  no wrapped function covers stays under UNCOVERED_LIMIT of the chain;
 - BENCHMARK.json names exactly the workloads and metrics the runner prints.
 
 Exits 0 when all of this holds and 1 otherwise, printing each finding.
@@ -37,6 +39,10 @@ SEED_BLIND_DIGEST = {
     "bjj-lyapunov": "its only integer outputs are the lyap fit windows and t offsets, "
                     "and every fit window is 1:5 with all offsets defined",
 }
+
+#: Largest share of a traced chain that may fall inside a command but
+#: outside every wrapped function (`trace.uncovered_ratio`).
+UNCOVERED_LIMIT = 0.02
 
 #: Work counts the seed must leave unchanged.
 WORK_COUNTS = ("kerr.level_samples", "bjj.level_samples", "morse.level_samples",
@@ -105,6 +111,10 @@ def main() -> int:
             problems = [p for s, c in zip(steps, codes)
                         for p in ([f"exit {c}"] if c != 0 else check_step(s))]
             expect(not problems, f"{name} seed {seed}: outputs pass ({problems[:3]})")
+            expect(counts["trace.uncovered_ratio"] < UNCOVERED_LIMIT,
+                   f"{name} seed {seed}: {counts['trace.uncovered_ratio']:.4f} of the "
+                   f"chain is inside commands but outside wrapped functions "
+                   f"(limit {UNCOVERED_LIMIT})")
             seen[seed] = (digest(steps), {k: counts[k] for k in WORK_COUNTS})
             if seed != SEEDS[0]:
                 continue

@@ -248,7 +248,7 @@ PER_LAYER = {
     "lyapunov.points_indexed": "count", "lyapunov.curves_attempted": "count",
     "lyapunov.curves_fitted_ratio": "ratio", "lyapunov.rss_rise_mb": "MB",
     "trace.wall_s": "s", "trace.untraced_wall_s": "s", "trace.overhead_s": "s",
-    "trace.unattributed_s": "s", "fail_rate": "ratio",
+    "trace.unattributed_s": "s", "trace.uncovered_ratio": "ratio", "fail_rate": "ratio",
 }
 
 #: Metrics aggregated over traced chains by their maximum, not their median:
@@ -261,7 +261,10 @@ def chain_metrics(spans: list[Span]) -> dict:
 
     A layer's time is the total duration of its spans, counting a span
     nested inside another of the same name once.  The chain's own self
-    time is bench glue between commands: `trace.unattributed_s`.
+    time is bench glue between commands: `trace.unattributed_s`.  The
+    command spans' self time, `cli.self_s`, is the time inside commands
+    that no wrapped function covers; `trace.uncovered_ratio` is its share
+    of the chain.
     """
     by_id = {sp.id: sp for sp in spans}
     child_s = defaultdict(float)
@@ -338,4 +341,6 @@ def chain_metrics(spans: list[Span]) -> dict:
                                              m["lyapunov.curves_attempted"])
     m["lyapunov.rss_rise_mb"] = sum(sp.rss_rise_mb for sp in outermost("lyapunov.scan"))
     m["trace.unattributed_s"] = sum(self_s(sp) for sp in spans if sp.name == "chain")
+    m["trace.uncovered_ratio"] = rate(m["cli.self_s"],
+                                      sum(sp.dur for sp in spans if sp.name == "chain"))
     return m

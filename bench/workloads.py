@@ -36,7 +36,6 @@ class Workload:
     """
 
     name: str
-    why: str
     t_start_range: tuple[float, float]
     configs: dict  # file stem -> config text with a {t_start} field
     analyses: tuple
@@ -85,8 +84,6 @@ WORKLOADS = {
     for w in (
         Workload(
             "kerr-returns",
-            "fig3 inputs plus fidelity: the banded kerr kernel on ~105 levels "
-            "dominates; the tsa layers do almost nothing",
             (0.0, 100.0),
             {
                 "kerr-x2-l1": _KERR.format(observable="x^2", ell=1),
@@ -97,16 +94,12 @@ WORKLOADS = {
         ),
         Workload(
             "bjj-lyapunov",
-            "fig11 inputs: the 3 m x 3 eps divergence scan (k-d trees and "
-            "gather) dominates; the kernel runs on a dense 41-level operator",
             (0.0, 1000.0),
             {"bjj-even": _BJJ},
             (("lyap", (), ".lyap"),),
         ),
         Workload(
             "morse-recurrence",
-            "recurrence pairs and bitmap at window 10000: integer and bitmap "
-            "writers dominate and the dense bitmap path sets peak memory",
             (0.0, 1000.0),
             {"morse-even": _MORSE},
             (("rp", ("--epsilon", "0.05", "--m", "3", "--window-size", "10000"), ".rp"),
