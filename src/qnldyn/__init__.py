@@ -39,7 +39,6 @@ from .morse import (
     cached_eigenbasis,
     default_grid,
     evolve_morse,
-    load_morse_params,
     morse_autocorrelation,
     morse_moments_series,
     morse_revival_period,

@@ -17,8 +17,7 @@ from scipy.special import gammaln
 
 from .errors import NormalizationError
 from .series import SamplingPlan, TimeSeries
-
-_CHUNK = 16384
+from .spectral import expectation_series
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,8 @@ def bloch_series(
 ) -> TimeSeries:
     """Sample the normalized Bloch component 2 <L_axis> / N along a grid.
 
-    Work happens in the eigenbasis: each chunk of times is phased at once
-    and contracted with the rotated operator, so 1e6 samples stay cheap.
+    Work happens in the eigenbasis: the spectral kernel phases the modes
+    and contracts them with the rotated operator, so 1e6 samples stay cheap.
     """
     if state.dim != ops.params.dim:
         raise ValueError("state dimension does not match the operator set")
@@ -208,12 +207,7 @@ def bloch_series(
     energies, vectors = ops.eigensystem()
     op_eig = vectors.conj().T @ ops.operator(observable) @ vectors
     modes = vectors.conj().T @ state.amplitudes
-    times = plan.times()
-    vals = np.empty(plan.n_samples)
-    for lo in range(0, plan.n_samples, _CHUNK):
-        hi = min(lo + _CHUNK, plan.n_samples)
-        block = modes[:, None] * np.exp(-1j * np.outer(energies, times[lo:hi]))
-        vals[lo:hi] = np.sum(np.conj(block) * (op_eig @ block), axis=0).real
+    vals = expectation_series(energies, modes, op_eig, plan.times())
     vals *= 2.0 / params.n_atoms
     meta = {
         "system": "bjj",

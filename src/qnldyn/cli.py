@@ -72,7 +72,9 @@ def _morse_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
     if obs in ("autocorrelation", "survival"):
         amps = morse.morse_autocorrelation(state, plan.times())
         return TimeSeries(np.abs(amps) ** 2, plan.dt, origin={"observable": obs})
-    raise ConfigError(f"morse observable must be x, p, or autocorrelation; got {obs!r}")
+    raise ConfigError(
+        f"morse observable must be x, p, autocorrelation, or survival; got {obs!r}"
+    )
 
 
 def _bjj_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:

@@ -41,26 +41,9 @@ _SECTION_KEYS = {
         "u": float,
         "state": str,
     },
-    "f1": {
-        "cell_size": float,
-    },
-    "rp": {
-        "epsilon": float,
-        "m": int,
-        "delay": int,
-        "window_start": int,
-        "window_size": int,
-        "raw_scalar": bool,
-    },
-    "lyap": {
-        "epsilons": str,
-        "m_values": str,
-        "theiler": int,
-        "t_max": int,
-    },
 }
 
-_SYSTEMS = ("kerr", "morse", "bjj")
+_SYSTEMS = tuple(_SECTION_KEYS)
 
 _DEFAULTS = {
     "observable": None,  # per-system default filled in validate
@@ -82,7 +65,6 @@ class RunConfig:
     n_samples: int
     output: str
     params: dict = field(default_factory=dict)
-    analysis: dict = field(default_factory=dict)
 
     def flat_items(self):
         """(key, value) pairs echoing the fully resolved configuration."""
@@ -93,18 +75,6 @@ class RunConfig:
         yield "n_samples", self.n_samples
         for key in sorted(self.params):
             yield f"{self.system}.{key}", self.params[key]
-        for section in sorted(self.analysis):
-            for key in sorted(self.analysis[section]):
-                yield f"{section}.{key}", self.analysis[section][key]
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -133,8 +103,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             caster = _TOP_KEYS[key]
         else:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if caster is bool:
-            caster = _parse_bool
         try:
             seen[key] = caster(value)
         except ValueError as exc:
@@ -155,18 +123,14 @@ def _validate(seen: dict, source: str) -> RunConfig:
         if "." not in key:
             top[key] = seen.pop(key)
     params: dict[str, object] = {}
-    analysis: dict[str, dict] = {}
     for key, value in seen.items():
         section, _, sub = key.partition(".")
-        if section in _SYSTEMS:
-            if section != system:
-                raise ConfigError(
-                    f"{source}: key {key!r} belongs to system {section!r}, "
-                    f"but system = {system}"
-                )
-            params[sub] = value
-        else:
-            analysis.setdefault(section, {})[sub] = value
+        if section != system:
+            raise ConfigError(
+                f"{source}: key {key!r} belongs to system {section!r}, "
+                f"but system = {system}"
+            )
+        params[sub] = value
     if top["observable"] is None:
         top["observable"] = {"kerr": "x^2", "morse": "x", "bjj": "lx"}[system]
     if top["dt"] <= 0:
@@ -181,7 +145,6 @@ def _validate(seen: dict, source: str) -> RunConfig:
         n_samples=int(top["n_samples"]),
         output=str(top["output"]),
         params=params,
-        analysis=analysis,
     )
 
 

@@ -20,8 +20,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import GridResolutionError, NormalizationError, TruncationError
 from .series import SamplingPlan, TimeSeries
-
-_CHUNK = 8192
+from .spectral import expectation_series, survival_amplitude
 
 CACHE_FORMAT_VERSION = 1
 
@@ -116,45 +115,6 @@ class MorseParams:
 MORSE_PRESETS = {
     "default": MorseParams(D=231.125, beta=1.0, mu=1.0, r0=1.0),
 }
-
-
-def load_morse_params(path: str) -> MorseParams:
-    """Read a Morse parameter file: 'key=value' per line, '#' comments.
-
-    Accepted keys: preset, D, beta, mu, r0, hbar.  A preset line loads a
-    named entry from MORSE_PRESETS; explicit keys override its fields.
-    """
-    fields: dict[str, float] = {}
-    preset = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key or not value:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            if key == "preset":
-                if value not in MORSE_PRESETS:
-                    raise ValueError(f"{path}:{lineno}: unknown preset {value!r}")
-                preset = MORSE_PRESETS[value]
-            elif key in ("D", "beta", "mu", "r0", "hbar"):
-                fields[key] = float(value)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    if preset is not None:
-        base = {
-            "D": preset.D,
-            "beta": preset.beta,
-            "mu": preset.mu,
-            "r0": preset.r0,
-            "hbar": preset.hbar,
-        }
-        base.update(fields)
-        fields = base
-    return MorseParams(**fields)
 
 
 @dataclass(frozen=True)
@@ -400,10 +360,9 @@ def evolve_morse(state: MorseState, t: float) -> MorseState:
 
 def morse_autocorrelation(state: MorseState, t):
     """<psi(0)|psi(t)> = sum_n |c_n|^2 e^{-i E_n t / hbar}; scalar or array t."""
-    hbar = state.basis.params.hbar
-    p = np.abs(state.coeffs) ** 2
+    energies = state.basis.energies / state.basis.params.hbar
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.exp(-1j * np.outer(t_arr, state.basis.energies) / hbar) @ p
+    out = survival_amplitude(energies, np.abs(state.coeffs) ** 2, t_arr)
     return out if np.ndim(t) else complex(out[0])
 
 
@@ -431,8 +390,8 @@ def morse_moments_series(
 ) -> TimeSeries:
     """Sample <x>(t) or <p>(t) over a uniform time grid.
 
-    Evolution is diagonal, so each chunk of times is phased at once and
-    contracted against the 21x21 (or so) operator matrix.
+    Evolution is diagonal, so the spectral kernel phases the coefficients
+    and contracts them against the 21x21 (or so) operator matrix.
     """
     if observable == "x":
         op = position_matrix(state.basis).astype(complex)
@@ -443,15 +402,9 @@ def morse_moments_series(
     if abs(state.norm() ** 2 - 1.0) > 1e-10:
         raise NormalizationError("series requires a normalized state")
     params = state.basis.params
-    energies = state.basis.energies
-    times = plan.times()
-    vals = np.empty(plan.n_samples)
-    for lo in range(0, plan.n_samples, _CHUNK):
-        hi = min(lo + _CHUNK, plan.n_samples)
-        block = state.coeffs[:, None] * np.exp(
-            -1j * np.outer(energies, times[lo:hi]) / params.hbar
-        )
-        vals[lo:hi] = np.sum(np.conj(block) * (op @ block), axis=0).real
+    vals = expectation_series(
+        state.basis.energies / params.hbar, state.coeffs, op, plan.times()
+    )
     meta = {
         "system": "morse",
         "observable": observable,

@@ -26,7 +26,6 @@ from qnldyn.morse import (
     cached_eigenbasis,
     default_grid,
     evolve_morse,
-    load_morse_params,
     morse_autocorrelation,
     morse_moments_series,
     morse_revival_period,
@@ -224,23 +223,6 @@ def test_cached_eigenbasis_round_trip(tmp_path):
     assert_allclose(second.grid, first.grid, atol=0.0)
     assert_allclose(second.psi, first.psi, atol=0.0)
     assert os.listdir(cache) == files  # second call reused the stored basis
-
-
-def test_load_morse_params(tmp_path):
-    path = tmp_path / "morse.cfg"
-    path.write_text("# comment\npreset=default\nbeta = 1.0\n")
-    params = load_morse_params(str(path))
-    assert_allclose(params.D, PRESET.D)
-
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("D=231.125\nwhat=1\n")
-    with pytest.raises(ValueError, match="bad.cfg:2"):
-        load_morse_params(str(bad))
-
-    empty_val = tmp_path / "empty.cfg"
-    empty_val.write_text("D=\n")
-    with pytest.raises(ValueError, match="empty.cfg:1"):
-        load_morse_params(str(empty_val))
 
 
 def test_params_validation():
