@@ -18,13 +18,18 @@ from .series import TimeSeries
 
 _FLOAT_FMT = "%.17g"
 
+#: Recurrence pairs formatted or packed per block by the recurrence writers.
+_PAIR_BLOCK = 1 << 16
 
-def _atomic_write(path: str, data: bytes) -> None:
+
+def _atomic_write(path: str, *chunks) -> None:
+    """Write bytes-like chunks in order to a temp file, then rename it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -107,6 +112,26 @@ def write_f1_histogram(path: str, hist, metadata: dict | None = None) -> None:
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
+def _pair_blocks(rec):
+    """Yield `i,j` rows as uint8 arrays, _PAIR_BLOCK pairs at a time.
+
+    Each index is looked up in a table of NUL-padded decimal strings, the
+    row is laid out at fixed width, and the NUL padding is dropped.
+    """
+    width = len(str(rec.n_points - 1))
+    digits = np.arange(rec.n_points).astype(f"S{width}").view(np.uint8)
+    digits = digits.reshape(rec.n_points, width)
+    for lo in range(0, rec.n_pairs, _PAIR_BLOCK):
+        ii = rec.ii[lo : lo + _PAIR_BLOCK]
+        jj = rec.jj[lo : lo + _PAIR_BLOCK]
+        rows = np.empty((ii.size, 2 * width + 2), dtype=np.uint8)
+        rows[:, :width] = digits[ii]
+        rows[:, width] = ord(",")
+        rows[:, width + 1 : -1] = digits[jj]
+        rows[:, -1] = ord("\n")
+        yield rows[rows != 0]
+
+
 def write_recurrence_pairs(path: str, rec, metadata: dict | None = None) -> None:
     """Sparse recurrence pairs (i < j), one `i,j` row per pair."""
     meta = {
@@ -120,22 +145,34 @@ def write_recurrence_pairs(path: str, rec, metadata: dict | None = None) -> None
         meta.update(metadata)
     lines = _header_lines(meta)
     lines.append("# columns=i,j")
-    lines.extend(f"{i},{j}" for i, j in zip(rec.ii, rec.jj))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    header = ("\n".join(lines) + "\n").encode()
+    _atomic_write(path, header, *_pair_blocks(rec))
 
 
 def write_recurrence_bitmap(path: str, rec) -> None:
     """Recurrence plot as a packed-bit PBM (P4), origin at lower-left.
 
     Row 0 of the file is the top row of the image, so pixel (i, j) of
-    the plot (i rightward, j upward) lands at file row n-1-j.
+    the plot (i rightward, j upward) lands at file row n-1-j.  Bits are
+    set straight from the pair list, each pair and its mirror, then the
+    diagonal, so memory stays at the n*ceil(n/8) bytes of the image.
     """
     n = rec.n_points
-    dense = rec.to_dense()
-    flipped = dense.T[::-1, :]
-    packed = np.packbits(flipped, axis=1)
-    header = f"P4\n{n} {n}\n".encode()
-    _atomic_write(path, header + packed.tobytes())
+    row_bytes = (n + 7) // 8
+    image = np.zeros(n * row_bytes, dtype=np.uint8)
+
+    def set_pixels(cols, rows):
+        at = (n - 1 - rows) * row_bytes + (cols >> 3)
+        np.bitwise_or.at(image, at, (0x80 >> (cols & 7)).astype(np.uint8))
+
+    for lo in range(0, rec.n_pairs, _PAIR_BLOCK):
+        ii = rec.ii[lo : lo + _PAIR_BLOCK]
+        jj = rec.jj[lo : lo + _PAIR_BLOCK]
+        set_pixels(ii, jj)
+        set_pixels(jj, ii)
+    diagonal = np.arange(n, dtype=np.int64)
+    set_pixels(diagonal, diagonal)
+    _atomic_write(path, f"P4\n{n} {n}\n".encode(), image)
 
 
 def write_lyapunov_curve(path: str, curve, metadata: dict | None = None) -> None:

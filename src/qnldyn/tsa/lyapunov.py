@@ -41,7 +41,7 @@ class LyapunovCurve:
     delay: int
     theiler: int
     dt: float
-    n_references: int
+    n_references: int  # references that kept a neighbor, i.e. contributed
     lambda_max: float | None = None
     fit_window: tuple[int, int] | None = None
 
@@ -70,8 +70,9 @@ def lyapunov_curve(
     t_max future samples).  Oversized neighborhoods are thinned evenly to
     max_neighbors members, which keeps densely recurrent signals cheap
     without biasing the average.  Offsets where no reference kept a
-    positive mean gap are dropped; if no reference has any neighbor at
-    all, the radius was too small.
+    positive mean gap are dropped.  n_references counts the references
+    that kept a neighbor outside the Theiler window; if none did, the
+    radius was too small.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -93,13 +94,13 @@ def lyapunov_curve(
     offsets = np.arange(t_max + 1)
     sums = np.zeros(t_max + 1)
     counts = np.zeros(t_max + 1, dtype=np.int64)
-    any_neighbor = False
+    n_used = 0
     for ref, raw in zip(refs, neighbor_lists):
         nb = np.asarray(raw, dtype=np.int64)
         nb = nb[np.abs(nb - ref) > theiler]
         if nb.size == 0:
             continue
-        any_neighbor = True
+        n_used += 1
         if nb.size > max_neighbors:
             nb.sort()
             pick = np.linspace(0, nb.size - 1, max_neighbors).astype(np.int64)
@@ -109,7 +110,7 @@ def lyapunov_curve(
         ok = mean_gap > 0.0
         sums[ok] += np.log(mean_gap[ok])
         counts[ok] += 1
-    if not any_neighbor:
+    if n_used == 0:
         raise NeighborhoodError(
             f"no neighborhood within epsilon = {epsilon:g}; increase epsilon"
         )
@@ -122,7 +123,7 @@ def lyapunov_curve(
         delay=emb.delay,
         theiler=theiler,
         dt=emb.dt,
-        n_references=int(refs.size),
+        n_references=n_used,
     )
 
 

@@ -35,11 +35,18 @@ class RecurrenceData:
     def __post_init__(self):
         ii = np.asarray(self.ii, dtype=np.int64)
         jj = np.asarray(self.jj, dtype=np.int64)
+        if ii.ndim != 1 or ii.shape != jj.shape:
+            raise ValueError("ii and jj must be 1-D arrays of equal length")
+        if not (np.all(ii >= 0) and np.all(ii < jj) and np.all(jj < self.n_points)):
+            raise ValueError("pairs must satisfy 0 <= i < j < n_points")
+        keys = ii * self.n_points + jj
+        if not np.all(keys[1:] > keys[:-1]):
+            raise ValueError("pairs must be strictly increasing in (i, j)")
         ii.setflags(write=False)
         jj.setflags(write=False)
         object.__setattr__(self, "ii", ii)
         object.__setattr__(self, "jj", jj)
-        object.__setattr__(self, "_keys", ii * self.n_points + jj)
+        object.__setattr__(self, "_keys", keys)
 
     @property
     def n_pairs(self) -> int:
@@ -58,13 +65,6 @@ class RecurrenceData:
 
     def recurrence_rate(self) -> float:
         return (2.0 * self.n_pairs + self.n_points) / self.n_points**2
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_points, self.n_points), dtype=bool)
-        dense[self.ii, self.jj] = True
-        dense |= dense.T
-        np.fill_diagonal(dense, True)
-        return dense
 
 
 def recurrence_plot(

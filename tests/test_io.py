@@ -1,11 +1,15 @@
 """Run-file parsing and on-disk formats: full-precision round trips."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qnldyn import seriesio
 from qnldyn.config import RunConfig, load_config, parse_config_text
 from qnldyn.errors import ConfigError
 from qnldyn.series import TimeSeries
@@ -17,6 +21,7 @@ from qnldyn.seriesio import (
     write_recurrence_pairs,
     write_series,
 )
+from qnldyn.tsa.recurrence import RecurrenceData
 
 FULL_CONFIG = """\
 # a full run file
@@ -190,7 +195,7 @@ def test_f1_histogram_file(tmp_path):
     assert counts.sum() == len(hist.return_times)
 
 
-def test_recurrence_outputs(tmp_path):
+def test_recurrence_outputs(tmp_path, dense):
     from qnldyn.tsa import delay_embed, recurrence_plot
 
     series = TimeSeries(np.sin(2.0 * np.pi * np.arange(400) / 20.0), 1.0)
@@ -198,14 +203,16 @@ def test_recurrence_outputs(tmp_path):
 
     pairs_path = str(tmp_path / "rec.pairs.csv")
     write_recurrence_pairs(pairs_path, rec)
-    rows = [l for l in open(pairs_path) if not l.startswith("#")]
+    with open(pairs_path) as fh:
+        rows = [l for l in fh if not l.startswith("#")]
     assert len(rows) == rec.n_pairs
     i0, j0 = map(int, rows[0].split(","))
     assert rec.contains(i0, j0)
 
     pbm_path = str(tmp_path / "rec.pbm")
     write_recurrence_bitmap(pbm_path, rec)
-    raw = open(pbm_path, "rb").read()
+    with open(pbm_path, "rb") as fh:
+        raw = fh.read()
     assert raw.startswith(b"P4\n")
     dims = raw.split(b"\n", 2)[1].split()
     assert [int(d) for d in dims] == [rec.n_points, rec.n_points]
@@ -214,9 +221,106 @@ def test_recurrence_outputs(tmp_path):
     bits = np.unpackbits(
         np.frombuffer(payload, dtype=np.uint8).reshape(n, -1), axis=1
     )[:, :n].astype(bool)
-    dense = rec.to_dense()
     # file row r holds plot row j = n - 1 - r (origin at the lower left)
-    assert np.array_equal(bits[::-1].T, dense)
+    assert np.array_equal(bits[::-1].T, dense(rec))
+
+
+# Window sizes at the edges of the decimal width (9|10, 99|100, 999|1000)
+# and of the packed byte (7|8|9 pixels per row).
+EDGE_WINDOWS = (1, 7, 8, 9, 10, 11, 99, 100, 101, 1000, 1001)
+
+
+def _oracle_pairs(rec, metadata=None):
+    """Pair-file bytes as formatted one row at a time, by f-string."""
+    meta = {
+        "n_points": int(rec.n_points),
+        "epsilon": float(rec.epsilon),
+        "window_start": int(rec.window_start),
+        "n_pairs": int(rec.n_pairs),
+        "recurrence_rate": float(rec.recurrence_rate()),
+    }
+    if metadata:
+        meta.update(metadata)
+    lines = seriesio._header_lines(meta)
+    lines.append("# columns=i,j")
+    lines.extend(f"{i},{j}" for i, j in zip(rec.ii, rec.jj))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _oracle_bitmap(rec, dense):
+    """PBM bytes packed from the full bool matrix, flipped to a lower-left origin."""
+    n = rec.n_points
+    packed = np.packbits(dense(rec).T[::-1, :], axis=1)
+    return f"P4\n{n} {n}\n".encode() + packed.tobytes()
+
+
+@st.composite
+def recurrence_data(draw):
+    n = draw(st.sampled_from(EDGE_WINDOWS))
+    index = st.integers(0, n - 1)
+    drawn = draw(st.lists(st.tuples(index, index), max_size=300))
+    keys = np.unique([i * n + j for i, j in drawn if i < j]).astype(np.int64)
+    return RecurrenceData(n, 0.25, keys // n, keys % n, window_start=draw(index))
+
+
+def _assert_writers_match_oracles(tmp_path, rec, dense):
+    pairs_path = tmp_path / "rec.pairs.csv"
+    write_recurrence_pairs(str(pairs_path), rec, {"system": "morse"})
+    assert pairs_path.read_bytes() == _oracle_pairs(rec, {"system": "morse"})
+    pbm_path = tmp_path / "rec.pbm"
+    write_recurrence_bitmap(str(pbm_path), rec)
+    assert pbm_path.read_bytes() == _oracle_bitmap(rec, dense)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rec=recurrence_data())
+def test_recurrence_writers_match_row_and_dense_oracles(tmp_path_factory, dense, rec):
+    _assert_writers_match_oracles(tmp_path_factory.mktemp("rec"), rec, dense)
+
+
+@pytest.mark.parametrize("n", EDGE_WINDOWS)
+def test_recurrence_writers_on_empty_pair_sets(tmp_path, dense, n):
+    empty = np.empty(0, dtype=np.int64)
+    _assert_writers_match_oracles(tmp_path, RecurrenceData(n, 0.25, empty, empty), dense)
+
+
+def test_recurrence_writers_span_several_blocks(tmp_path, dense):
+    n = 1000
+    rng = np.random.default_rng(23)
+    keys = np.sort(rng.choice(n * n, size=300_000, replace=False))
+    ii, jj = keys // n, keys % n
+    keep = ii < jj
+    rec = RecurrenceData(n, 0.25, ii[keep], jj[keep])
+    assert rec.n_pairs > 2 * seriesio._PAIR_BLOCK
+    _assert_writers_match_oracles(tmp_path, rec, dense)
+
+
+def test_bitmap_memory_stays_at_the_packed_image(tmp_path):
+    n = 16384
+    rng = np.random.default_rng(29)
+    ii = rng.integers(0, n - 1, 4000)
+    jj = ii + rng.integers(1, n - ii)
+    keys = np.unique(ii * n + jj)
+    rec = RecurrenceData(n, 0.1, keys // n, keys % n)
+    image_bytes = n * ((n + 7) // 8)
+    tracemalloc.start()
+    try:
+        write_recurrence_bitmap(str(tmp_path / "big.pbm"), rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense bool matrix alone would take n**2 = 268 MB
+    assert peak < 2 * image_bytes + 8 * 2**20
+    assert os.path.getsize(tmp_path / "big.pbm") == len(f"P4\n{n} {n}\n") + image_bytes
+
+
+def test_atomic_write_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "out.pbm"
+    path.write_bytes(b"old contents")
+    with pytest.raises(TypeError):
+        seriesio._atomic_write(str(path), b"new header", object())
+    assert path.read_bytes() == b"old contents"
+    assert sorted(os.listdir(tmp_path)) == ["out.pbm"]
 
 
 def test_lyapunov_curve_file(tmp_path):

@@ -175,12 +175,12 @@ def test_recurrence_reflexive_and_symmetric():
         assert rec.contains(i, j) == rec.contains(j, i)
 
 
-def test_recurrence_rate_counts_mirror_and_diagonal():
+def test_recurrence_rate_counts_mirror_and_diagonal(dense):
     rec = recurrence_plot(embedded_sine(), 0.3, (0, 400))
-    dense = rec.to_dense()
-    assert_allclose(rec.recurrence_rate(), dense.mean(), atol=1e-15)
-    assert np.all(dense == dense.T)
-    assert np.all(np.diag(dense))
+    full = dense(rec)
+    assert_allclose(rec.recurrence_rate(), full.mean(), atol=1e-15)
+    assert np.all(full == full.T)
+    assert np.all(np.diag(full))
 
 
 def test_recurrence_monotone_in_epsilon():
@@ -246,6 +246,23 @@ def test_recurrence_validation():
     rec = recurrence_plot(emb, 0.3, (0, 100))
     with pytest.raises(IndexError):
         rec.contains(0, 100)
+
+
+def test_recurrence_data_rejects_pairs_off_the_invariant():
+    ii = np.array([0, 1, 2])
+    RecurrenceData(10, 0.1, ii, np.array([3, 4, 9]))  # valid
+    with pytest.raises(ValueError, match="0 <= i < j < n_points"):
+        RecurrenceData(10, 0.1, ii, np.array([3, 4, 10]))  # j out of range
+    with pytest.raises(ValueError, match="0 <= i < j < n_points"):
+        RecurrenceData(10, 0.1, np.array([-1, 1, 2]), np.array([3, 4, 9]))
+    with pytest.raises(ValueError, match="0 <= i < j < n_points"):
+        RecurrenceData(10, 0.1, ii, np.array([3, 1, 9]))  # i == j
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RecurrenceData(10, 0.1, np.array([0, 2, 1]), np.array([3, 4, 9]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RecurrenceData(10, 0.1, np.array([0, 0]), np.array([3, 3]))  # repeat
+    with pytest.raises(ValueError, match="equal length"):
+        RecurrenceData(10, 0.1, ii, np.array([3, 4]))
 
 
 # ---------------------------------------------------------------- lyapunov
@@ -337,6 +354,23 @@ def test_theiler_window_excludes_temporal_neighbors():
     emb = delay_embed(series, 2, 1)
     with pytest.raises(NeighborhoodError):
         lyapunov_curve(emb, 0.004, theiler=300, t_max=20)
+
+
+def test_n_references_counts_only_references_with_neighbors():
+    # sparse noise: at this radius some points have no neighbor outside
+    # the Theiler window; a brute-force distance matrix counts the rest
+    rng = np.random.default_rng(7)
+    emb = delay_embed(TimeSeries(rng.random(600), 1.0), 2, 1)
+    t_max, theiler, eps = 20, 3, 0.01
+    usable = len(emb) - t_max
+    pts = emb.points[:usable]
+    close = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1) <= eps
+    idx = np.arange(usable)
+    close &= np.abs(idx[:, None] - idx[None, :]) > theiler
+    expected = int(np.count_nonzero(close.any(axis=1)))
+    curve = lyapunov_curve(emb, eps, theiler=theiler, t_max=t_max, n_ref=usable)
+    assert 0 < curve.n_references < usable
+    assert curve.n_references == expected
 
 
 def test_tiny_radius_raises_neighborhood_error():
