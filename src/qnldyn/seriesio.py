@@ -21,6 +21,9 @@ _FLOAT_FMT = "%.17g"
 #: Recurrence pairs formatted or packed per block by the recurrence writers.
 _PAIR_BLOCK = 1 << 16
 
+#: Bytes of series rows read and parsed per numpy call by read_series.
+_READ_CHUNK = 1 << 20
+
 
 def _atomic_write(path: str, *chunks) -> None:
     """Write bytes-like chunks in order to a temp file, then rename it."""
@@ -58,35 +61,57 @@ def write_series(path: str, series: TimeSeries, metadata: dict | None = None) ->
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-def read_series(path: str) -> TimeSeries:
-    """Parse the series CSV; malformed rows fail with their line number."""
-    meta: dict[str, str] = {}
-    values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+def _parse_rows(path: str, lines: list[bytes], first_lineno: int) -> np.ndarray:
+    """The numbers on the non-blank lines; a bad one fails with its line number."""
+    try:
+        return np.array(list(filter(bytes.strip, lines)), dtype=float)
+    except ValueError:
+        for lineno, raw in enumerate(lines, start=first_lineno):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
             try:
-                values.append(float(line))
+                if line:
+                    float(line)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
+                text = line.decode("utf-8", errors="replace")
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+        raise
+
+
+def read_series(path: str) -> TimeSeries:
+    """Parse the series CSV; malformed rows fail with their line number.
+
+    The header is the run of `#` and blank lines at the top of the file;
+    after it, every non-blank line holds one number.  Rows are parsed
+    _READ_CHUNK bytes at a time, so no Python object per row outlives
+    its chunk.
+    """
+    meta: dict[str, str] = {}
+    parts = []
+    lineno = 0
+    with open(path, "rb") as fh:
+        for raw in iter(fh.readline, b""):
+            line = raw.strip()
+            if line and not line.startswith(b"#"):
+                fh.seek(-len(raw), os.SEEK_CUR)
+                break
+            lineno += 1
+            key, eq, value = line[1:].decode("utf-8").partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        for lines in iter(lambda: fh.readlines(_READ_CHUNK), []):
+            parts.append(_parse_rows(path, lines, lineno + 1))
+            lineno += len(lines)
     if "dt" not in meta:
         raise ValueError(f"{path}: header lacks the required dt key")
     try:
         dt = float(meta["dt"])
     except ValueError:
         raise ValueError(f"{path}: dt is not a number: {meta['dt']!r}") from None
-    if len(values) < 2:
+    values = np.concatenate(parts or [np.empty(0)])
+    if values.size < 2:
         raise ValueError(f"{path}: fewer than two data rows")
     origin: dict[str, object] = dict(meta)
-    return TimeSeries(np.array(values), dt, origin=origin)
+    return TimeSeries(values, dt, origin=origin)
 
 
 def write_f1_histogram(path: str, hist, metadata: dict | None = None) -> None:

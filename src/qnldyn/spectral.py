@@ -3,6 +3,10 @@
 A state with coefficients c_n over eigenstates of energy E_n evolves as
 c_n e^{-i E_n t}, so a whole series of expectation values or survival
 amplitudes is one phase-and-contract pass over a (levels, times) grid.
+Only the occupied levels are phased: a level whose coefficient (or
+population) is exactly zero adds exact zeros to every term, so it is
+dropped before the pass.  An ell-component superposition, which is zero
+off one residue class mod ell, therefore costs about 1/ell of its levels.
 The grid is worked in blocks of a fixed number of level-samples, which
 keeps memory flat however many samples are asked for.
 """
@@ -21,11 +25,29 @@ _BLOCK_ENTRIES = 1 << 16
 IMAG_TOL = 1e-10
 
 
-def _blocks(n_levels: int, n_times: int):
-    """Slices of the time axis, each about _BLOCK_ENTRIES level-samples."""
-    step = max(1, _BLOCK_ENTRIES // n_levels)
-    for lo in range(0, n_times, step):
-        yield slice(lo, lo + step)
+def _phase_blocks(energies, times):
+    """Yield (time slice, e^{-i E_n t} block of shape (levels, slice)).
+
+    Each block holds about _BLOCK_ENTRIES level-samples; no levels yield no
+    blocks.  The phases are cos and -sin of the products E_n * t, written
+    into one buffer that every block reuses, so a yielded block is valid
+    only until the next one is asked for.
+    """
+    levels = energies.size
+    if levels == 0:
+        return
+    step = max(1, _BLOCK_ENTRIES // levels)
+    arg = np.empty(levels * min(step, times.size))
+    buf = np.empty(arg.size, dtype=complex)
+    for lo in range(0, times.size, step):
+        blk = slice(lo, lo + step)
+        n = levels * times[blk].size
+        x = np.multiply.outer(energies, times[blk], out=arg[:n].reshape(levels, -1))
+        phases = buf[:n].reshape(x.shape)
+        np.cos(x, out=phases.real)
+        np.sin(x, out=phases.imag)
+        np.negative(phases.imag, out=phases.imag)
+        yield blk, phases
 
 
 def expectation_series(energies, coeffs, op, times) -> np.ndarray:
@@ -34,15 +56,21 @@ def expectation_series(energies, coeffs, op, times) -> np.ndarray:
     op acts on the eigenbasis through `@` on a (levels, times) block, so a
     dense array and a scipy.sparse matrix both work.  op must be Hermitian:
     an imaginary residue above IMAG_TOL raises NumericalContractError.
+    Levels with c_n == 0 are dropped first; all-zero coeffs give zeros.
     """
-    energies = np.asarray(energies, dtype=float)
     coeffs = np.asarray(coeffs, dtype=complex)
+    keep = np.flatnonzero(coeffs)
+    energies = np.asarray(energies, dtype=float)[keep]
+    coeffs = coeffs[keep, None]
+    op = op[keep][:, keep]
     times = np.asarray(times, dtype=float)
-    vals = np.empty(times.size)
+    vals = np.zeros(times.size)
     worst_imag = 0.0
-    for blk in _blocks(energies.size, times.size):
-        block = coeffs[:, None] * np.exp(-1j * np.outer(energies, times[blk]))
-        expect = np.sum(np.conj(block) * (op @ block), axis=0)
+    for blk, block in _phase_blocks(energies, times):
+        np.multiply(coeffs, block, out=block)
+        expect = op @ block
+        np.multiply(np.conj(block, out=block), expect, out=expect)
+        expect = np.sum(expect, axis=0)
         worst_imag = max(worst_imag, float(np.max(np.abs(expect.imag))))
         vals[blk] = expect.real
     if worst_imag > IMAG_TOL:
@@ -53,11 +81,17 @@ def expectation_series(energies, coeffs, op, times) -> np.ndarray:
 
 
 def survival_amplitude(energies, populations, times) -> np.ndarray:
-    """<psi(0)|psi(t)> = sum_n |c_n|^2 e^{-i E_n t} at each time."""
-    energies = np.asarray(energies, dtype=float)
+    """<psi(0)|psi(t)> = sum_n |c_n|^2 e^{-i E_n t} at each time.
+
+    Levels with zero population are dropped first; all-zero populations
+    give zeros.
+    """
     populations = np.asarray(populations, dtype=float)
+    keep = np.flatnonzero(populations)
+    energies = np.asarray(energies, dtype=float)[keep]
+    populations = populations[keep]
     times = np.asarray(times, dtype=float)
-    out = np.empty(times.size, dtype=complex)
-    for blk in _blocks(energies.size, times.size):
-        out[blk] = np.exp(-1j * np.outer(times[blk], energies)) @ populations
+    out = np.zeros(times.size, dtype=complex)
+    for blk, block in _phase_blocks(energies, times):
+        out[blk] = populations @ block
     return out

@@ -87,11 +87,8 @@ def recurrence_plot(
         raise ValueError(f"window {window} outside the embedded range")
     pts = emb.points[start:stop]
     pairs = cKDTree(pts).query_pairs(epsilon, output_type="ndarray")
-    if pairs.size:
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        ii, jj = pairs[order, 0], pairs[order, 1]
-    else:
-        ii = jj = np.empty(0, dtype=np.int64)
+    n = stop - start
+    ii, jj = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
     meta = dict(emb.origin)
     meta.update(
         {
@@ -102,7 +99,7 @@ def recurrence_plot(
             "window_stop": str(stop),
         }
     )
-    return RecurrenceData(stop - start, epsilon, ii, jj, start, meta)
+    return RecurrenceData(n, epsilon, ii, jj, start, meta)
 
 
 def diagonal_profile(rec: RecurrenceData) -> np.ndarray:

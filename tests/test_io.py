@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from qnldyn import seriesio
@@ -140,6 +141,47 @@ def test_series_round_trip_is_bit_exact(tmp_path):
     assert back.origin["observable"] == "x^2"
 
 
+EDGE_FLOATS = np.array(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+     1.7976931348623157e308, -1.7976931348623157e308, 1.0 + 2.0**-52]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=arrays(
+        float,
+        st.integers(2, 60),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    dt=st.floats(min_value=1e-300, max_value=1e300),
+)
+@example(values=EDGE_FLOATS, dt=5e-324)
+def test_series_round_trip_is_bit_exact_for_any_finite_float(
+    tmp_path_factory, values, dt
+):
+    path = str(tmp_path_factory.mktemp("series") / "s.csv")
+    write_series(path, TimeSeries(values, dt))
+    back = read_series(path)
+    assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+    assert back.dt == dt
+
+
+def test_read_series_spans_several_chunks_and_skips_blank_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(seriesio, "_READ_CHUNK", 64)
+    rows = ["1.5", "", "  -2.25\t", "3e-300", "\r", "4"] * 40
+    path = tmp_path / "s.csv"
+    path.write_text("# dt=0.5\n\n# note\n" + "\n".join(rows) + "\n\n")
+    back = read_series(str(path))
+    assert_allclose(back.values, [1.5, -2.25, 3e-300, 4.0] * 40, rtol=0.0, atol=0.0)
+    assert back.dt == 0.5
+    lines = ["# dt=0.5"] + rows
+    lines[203] = "1.0 2.0"  # file line 204, in a late chunk
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"s\.csv:204: not a number: '1\.0 2\.0'"):
+        read_series(str(path))
+
+
 def test_series_write_leaves_no_temp_files(tmp_path):
     series = TimeSeries(np.arange(5.0), 1.0)
     path = str(tmp_path / "out.csv")
@@ -180,12 +222,13 @@ def test_f1_histogram_file(tmp_path):
     write_f1_histogram(path, hist)
     header = {}
     rows = []
-    for line in open(path):
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            header[key] = value
-        else:
-            rows.append(line.strip().split(","))
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                header[key] = value
+            else:
+                rows.append(line.strip().split(","))
     assert float(header["mean_tau"]) == hist.mean_tau
     assert float(header["mu_fit"]) == hist.mu_fit
     assert float(header["mu_per_time"]) == hist.mu_per_time
@@ -334,12 +377,13 @@ def test_lyapunov_curve_file(tmp_path):
     write_lyapunov_curve(path, curve)
     header = {}
     rows = []
-    for line in open(path):
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            header[key] = value
-        else:
-            rows.append([float(x) for x in line.split(",")])
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                header[key] = value
+            else:
+                rows.append([float(x) for x in line.split(",")])
     assert int(header["m"]) == 3
     assert float(header["epsilon"]) == 0.02
     assert float(header["lambda_max"]) == curve.lambda_max

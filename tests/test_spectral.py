@@ -7,7 +7,9 @@ Oracles:
     kernel blocks;
   - a per-time vdot(c(t), op @ c(t)) on generated spectra, coefficients
     and Hermitian operators;
-  - the survival amplitude at t = 0 is the total population.
+  - the survival amplitude at t = 0 is the total population;
+  - a level with zero weight contributes nothing, so the energy it is
+    given (NaN included) cannot change the series.
 """
 
 from unittest import mock
@@ -30,10 +32,11 @@ from qnldyn.bjj import (
     su2_coherent,
 )
 from qnldyn.errors import NumericalContractError
-from qnldyn.fock import coherent_state, inner, quadrature_moment
+from qnldyn.fock import coherent_state, inner, quadrature_moment, superpose_coherent
 from qnldyn.kerr import KerrParams, evolve_kerr, kerr_series, level_phases
 from qnldyn.morse import (
     evolve_morse,
+    morse_autocorrelation,
     morse_moments_series,
     position_matrix,
     superpose_morse,
@@ -100,6 +103,73 @@ def test_morse_x_matches_direct_path_at_long_times(morse_basis):
     assert_allclose(series.values, direct, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("ell", [2, 3])
+def test_kerr_superposition_second_moment_matches_direct_path(ell):
+    state, _ = superpose_coherent(5.0, ell)
+    plan = long_plan(1.3e5, 0.31, np.count_nonzero(state.amplitudes))
+    series = kerr_series(state, KERR, plan, "x^2")
+    direct = [
+        quadrature_moment(evolve_kerr(state, KERR, t), "x", 2) for t in plan.times()
+    ]
+    assert_allclose(series.values, direct, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_kerr_superposition_fidelity_matches_direct_path(ell):
+    state, _ = superpose_coherent(5.0, ell)
+    plan = long_plan(7.7e5, 0.29, np.count_nonzero(state.amplitudes))
+    series = kerr_series(state, KERR, plan, "fidelity")
+    direct = [
+        abs(inner(state, evolve_kerr(state, KERR, t))) ** 2 for t in plan.times()
+    ]
+    assert_allclose(series.values, direct, rtol=0.0, atol=1e-9)
+
+
+def test_morse_autocorrelation_matches_direct_path_at_long_times(morse_basis):
+    state = superpose_morse(0.4, 2, morse_basis)
+    plan = long_plan(5.2e5, 0.013, np.count_nonzero(state.coeffs))
+    got = morse_autocorrelation(state, plan.times())
+    direct = [
+        np.vdot(state.coeffs, evolve_morse(state, float(t)).coeffs)
+        for t in plan.times()
+    ]
+    assert_allclose(got, direct, rtol=0.0, atol=1e-9)
+
+
+# ------------------------------------------------------------ empty levels
+
+
+def test_empty_levels_are_never_phased():
+    energies = np.array([0.3, np.nan, -1.7, np.nan, 2.9])
+    coeffs = np.array([0.6, 0.0, 0.48j, 0.0, -0.64])
+    op = np.ones((5, 5), dtype=complex)
+    times = np.linspace(0.0, 40.0, 300)
+    via_dense = spectral.expectation_series(energies, coeffs, op, times)
+    via_sparse = spectral.expectation_series(
+        energies, coeffs, sparse.csr_array(op), times
+    )
+    survival = spectral.survival_amplitude(energies, np.abs(coeffs) ** 2, times)
+    occupied = [0, 2, 4]
+    kept = spectral.expectation_series(
+        energies[occupied], coeffs[occupied], op[np.ix_(occupied, occupied)], times
+    )
+    assert np.all(np.isfinite(via_dense)) and np.all(np.isfinite(survival))
+    assert np.array_equal(via_dense, kept)
+    assert np.array_equal(via_sparse, kept)
+    assert_allclose(survival[0], 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 6])
+def test_all_zero_weights_give_zero_series(levels):
+    energies = np.linspace(-2.0, 3.0, levels)
+    times = np.linspace(0.0, 5.0, 7)
+    for op in (np.eye(levels), sparse.csr_array(np.eye(levels))):
+        vals = spectral.expectation_series(energies, np.zeros(levels), op, times)
+        assert np.array_equal(vals, np.zeros(7))
+    amp = spectral.survival_amplitude(energies, np.zeros(levels), times)
+    assert np.array_equal(amp, np.zeros(7, dtype=complex))
+
+
 # ---------------------------------------------------------- Hermiticity check
 
 
@@ -148,6 +218,8 @@ def spectral_problems(draw):
         coeffs[0] = 1.0
     else:
         coeffs = coeffs / norm
+    # Empty levels, up to all of them, are dropped by the kernel.
+    coeffs[draw(arrays(bool, n))] = 0.0
     raw = draw(arrays(float, (n, n), elements=finite)) + 1j * draw(
         arrays(float, (n, n), elements=finite)
     )

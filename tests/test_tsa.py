@@ -12,7 +12,10 @@ Ground truths:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import cKDTree
 
 from qnldyn.errors import NeighborhoodError
 from qnldyn.series import SamplingPlan, TimeSeries, normalize_series
@@ -190,6 +193,26 @@ def test_recurrence_monotone_in_epsilon():
     pairs_small = set(zip(small.ii.tolist(), small.jj.tolist()))
     pairs_large = set(zip(large.ii.tolist(), large.jj.tolist()))
     assert pairs_small < pairs_large  # strict: more pairs at the larger radius
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 400),
+    m=st.integers(1, 3),
+    epsilon=st.floats(0.01, 0.6),
+    start=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairs_sorted_as_by_lexsort(n, m, epsilon, start, seed):
+    series = TimeSeries(np.random.default_rng(seed).random(n + 10), 1.0)
+    emb = delay_embed(series, m, 1)
+    rec = recurrence_plot(emb, epsilon, (start, start + n))
+    pairs = cKDTree(emb.points[start : start + n]).query_pairs(
+        epsilon, output_type="ndarray"
+    )
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    assert np.array_equal(rec.ii, pairs[order, 0])
+    assert np.array_equal(rec.jj, pairs[order, 1])
 
 
 def test_periodic_signal_diagonal_spacing_matches_period():
