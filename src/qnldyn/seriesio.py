@@ -56,9 +56,10 @@ def write_series(path: str, series: TimeSeries, metadata: dict | None = None) ->
         meta.setdefault(str(key), value)
     if metadata:
         meta.update(metadata)
-    lines = _header_lines(meta)
-    lines.extend(_FLOAT_FMT % v for v in series.values)
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    header = "\n".join(_header_lines(meta)) + "\n"
+    values = tuple(series.values.tolist())
+    rows = ((_FLOAT_FMT + "\n") * len(values)) % values
+    _atomic_write(path, header.encode(), rows.encode())
 
 
 def _parse_rows(path: str, lines: list[bytes], first_lineno: int) -> np.ndarray:

@@ -10,6 +10,13 @@ over references,
 grows linearly in t at the rate of the maximal exponent before it
 saturates at the attractor size.  A least-squares slope over the linear
 stretch, per unit time, is the estimate.
+
+The scan builds one k-d tree per embedding dimension m and queries it at
+every radius; only one tree is alive at a time.  References are queried in
+blocks, so only one block's neighbor lists are held.  The gaps of a
+neighborhood are gathered as rows of a sliding window over the scalar
+track: row n holds s_n, ..., s_{n+t_max}, so one fancy index fetches every
+neighbor's future.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from ..errors import NeighborhoodError
@@ -28,6 +36,10 @@ SCAN_DIMENSIONS = (3, 4, 5)
 
 #: Default neighborhood radii, as fractions of the (normalized) range.
 SCAN_EPSILONS = (0.01, 0.02, 0.04)
+
+#: Reference points per k-d tree query; their neighbor lists, not the tree,
+#: set the scan's peak memory.
+_QUERY_BLOCK = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,21 @@ class LyapunovCurve:
             raise ValueError("t_offsets and s_values must align")
 
 
+def _usable_points(emb: EmbeddedSeries, t_max: int) -> int:
+    """Points with t_max future samples; at least two are needed."""
+    usable = len(emb) - t_max
+    if usable < 2:
+        raise ValueError("t_max leaves fewer than two usable points")
+    return usable
+
+
+def _neighbor_lists(tree, queries: np.ndarray, epsilon: float):
+    """Sorted neighbor index lists of each query point, one block at a time."""
+    for lo in range(0, len(queries), _QUERY_BLOCK):
+        block = queries[lo : lo + _QUERY_BLOCK]
+        yield from tree.query_ball_point(block, epsilon, workers=-1, return_sorted=True)
+
+
 def lyapunov_curve(
     emb: EmbeddedSeries,
     epsilon: float,
@@ -63,6 +90,7 @@ def lyapunov_curve(
     t_max: int,
     n_ref: int = 2000,
     max_neighbors: int = 64,
+    tree: cKDTree | None = None,
 ) -> LyapunovCurve:
     """Average log divergence of epsilon-neighborhoods over t_max steps.
 
@@ -72,7 +100,9 @@ def lyapunov_curve(
     without biasing the average.  Offsets where no reference kept a
     positive mean gap are dropped.  n_references counts the references
     that kept a neighbor outside the Theiler window; if none did, the
-    radius was too small.
+    radius was too small.  A caller scanning several radii at one m may
+    pass tree, a cKDTree over emb.points[:len(emb) - t_max]; without one
+    the curve builds its own.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -81,16 +111,15 @@ def lyapunov_curve(
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     points = emb.points
-    track = emb.scalar_track
-    usable = len(emb) - t_max
-    if usable < 2:
-        raise ValueError("t_max leaves fewer than two usable points")
-    tree = cKDTree(points[:usable])
+    usable = _usable_points(emb, t_max)
+    if tree is None:
+        tree = cKDTree(points[:usable])
     if n_ref >= usable:
         refs = np.arange(usable)
     else:
         refs = np.unique(np.linspace(0, usable - 1, n_ref).astype(np.int64))
-    neighbor_lists = tree.query_ball_point(points[refs], epsilon, workers=-1)
+    neighbor_lists = _neighbor_lists(tree, points[refs], epsilon)
+    win = sliding_window_view(np.ascontiguousarray(emb.scalar_track), t_max + 1)
     offsets = np.arange(t_max + 1)
     sums = np.zeros(t_max + 1)
     counts = np.zeros(t_max + 1, dtype=np.int64)
@@ -105,7 +134,9 @@ def lyapunov_curve(
             nb.sort()
             pick = np.linspace(0, nb.size - 1, max_neighbors).astype(np.int64)
             nb = nb[np.unique(pick)]
-        gaps = np.abs(track[nb[:, None] + offsets] - track[ref + offsets])
+        gaps = win[nb]
+        gaps -= win[ref]
+        np.abs(gaps, out=gaps)
         mean_gap = gaps.mean(axis=0)
         ok = mean_gap > 0.0
         sums[ok] += np.log(mean_gap[ok])
@@ -201,8 +232,9 @@ def lyapunov_scan(
     The series is mapped onto [0, 1] (slopes are scale-invariant, radii
     become comparable across systems), embedded at each m with the
     autocorrelation delay, and each (m, epsilon) curve is fitted over its
-    linear rise.  Per-dimension estimates are averaged over radii; their
-    overall mean and spread (max - min across m) are reported.
+    linear rise; the radii at one m share one k-d tree.  Per-dimension
+    estimates are averaged over radii; their overall mean and spread
+    (max - min across m) are reported.
     """
     normed = normalize_series(series)
     if delay is None:
@@ -215,10 +247,12 @@ def lyapunov_scan(
     for m in m_values:
         emb = delay_embed(normed, m, delay)
         th = theiler if theiler is not None else 2 * delay * m
+        tree = cKDTree(emb.points[: _usable_points(emb, t_max)])
         for eps in epsilons:
             try:
                 curve = lyapunov_curve(
-                    emb, eps, th, t_max, n_ref=n_ref, max_neighbors=max_neighbors
+                    emb, eps, th, t_max, n_ref=n_ref, max_neighbors=max_neighbors,
+                    tree=tree,
                 )
             except NeighborhoodError as exc:
                 failures.append(str(exc))
@@ -226,6 +260,7 @@ def lyapunov_scan(
             curve = fitted(curve, fit_window)
             curves.append(curve)
             results[m].append(curve.lambda_max)
+        del tree  # freed before the next m builds, so one tree is alive at a time
     if not curves:
         raise NeighborhoodError(
             "every radius left all neighborhoods empty; increase epsilons "

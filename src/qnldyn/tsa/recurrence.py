@@ -115,10 +115,8 @@ def diagonal_line_lengths(rec: RecurrenceData, l_min: int = 2) -> np.ndarray:
     """
     if rec.n_pairs == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = rec.jj - rec.ii
-    order = np.lexsort((rec.ii, offsets))
-    off = offsets[order]
-    ii = rec.ii[order]
+    n = rec.n_points
+    off, ii = np.divmod(np.sort((rec.jj - rec.ii) * n + rec.ii), n)
     breaks = np.nonzero((np.diff(off) != 0) | (np.diff(ii) != 1))[0]
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [off.size - 1]))

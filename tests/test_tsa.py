@@ -8,7 +8,13 @@ Ground truths:
   - the logistic map at r = 4 has maximal exponent ln 2; a sinusoid has
     none;
   - a curve built as an exact straight line must be fitted exactly.
+
+Oracles kept here: the divergence curve with its own k-d tree per radius
+and an index gather, and the diagonal-line lengths ordered by lexsort.
 """
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from scipy.spatial import cKDTree
 
 from qnldyn.errors import NeighborhoodError
 from qnldyn.series import SamplingPlan, TimeSeries, normalize_series
+from qnldyn.seriesio import write_recurrence_bitmap
 from qnldyn.tsa import (
     LyapunovCurve,
     auto_fit_window,
@@ -38,6 +45,8 @@ from qnldyn.tsa import (
     return_time_histogram,
     sine_series,
 )
+from qnldyn.tsa import lyapunov
+from qnldyn.tsa.embedding import EmbeddedSeries
 from qnldyn.tsa.lyapunov import fit_slope, fitted
 from qnldyn.tsa.recurrence import RecurrenceData
 
@@ -215,6 +224,52 @@ def test_pairs_sorted_as_by_lexsort(n, m, epsilon, start, seed):
     assert np.array_equal(rec.jj, pairs[order, 1])
 
 
+def random_cloud(n, m, seed):
+    return delay_embed(TimeSeries(np.random.default_rng(seed).random(n + m), 1.0), m, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    m=st.integers(1, 3),
+    epsilon=st.floats(0.01, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_set_is_symmetric_with_the_mirror_in_the_bitmap(
+    tmp_path_factory, n, m, epsilon, seed
+):
+    rec = recurrence_plot(random_cloud(n, m, seed), epsilon, (0, n))
+    assert np.all(rec.ii < rec.jj)
+    path = tmp_path_factory.mktemp("rp") / "rec.pbm"
+    write_recurrence_bitmap(str(path), rec)
+    payload = path.read_bytes().split(b"\n", 2)[2]
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8).reshape(n, -1), axis=1)
+    plot = bits[::-1, :n].T.astype(bool)  # plot[i, j], origin at the lower left
+    assert np.array_equal(plot, plot.T)
+    assert np.all(np.diag(plot))
+    assert np.all(plot[rec.ii, rec.jj]) and np.all(plot[rec.jj, rec.ii])
+    assert np.count_nonzero(plot) == 2 * rec.n_pairs + n
+    for i, j in np.random.default_rng(seed).integers(0, n, size=(5, 2)):
+        assert rec.contains(i, j) == rec.contains(j, i) == plot[i, j]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    m=st.integers(1, 3),
+    radii=st.lists(st.floats(0.005, 0.6), min_size=2, max_size=4, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_set_grows_monotonically_in_epsilon(n, m, radii, seed):
+    emb = random_cloud(n, m, seed)
+    keys = [
+        rec.ii * n + rec.jj
+        for rec in (recurrence_plot(emb, eps, (0, n)) for eps in sorted(radii))
+    ]
+    for small, large in zip(keys, keys[1:]):
+        assert np.all(np.isin(small, large))
+
+
 def test_periodic_signal_diagonal_spacing_matches_period():
     rec = recurrence_plot(embedded_sine(period=100.0), 0.3, (0, 2000))
     spacings = diagonal_spacings(rec)
@@ -242,6 +297,36 @@ def test_diagonal_line_lengths_tiny_case():
     assert_allclose(mean_diagonal_length(rec), 3.0, atol=0.0)
     profile = diagonal_profile(rec)
     assert profile[2] == 3 and profile[5] == 1 and profile.sum() == 4
+
+
+def _lexsort_line_lengths(rec, l_min=2):
+    """Diagonal-line lengths with the pairs ordered by np.lexsort (oracle)."""
+    if rec.n_pairs == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = rec.jj - rec.ii
+    order = np.lexsort((rec.ii, offsets))
+    off = offsets[order]
+    ii = rec.ii[order]
+    breaks = np.nonzero((np.diff(off) != 0) | (np.diff(ii) != 1))[0]
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [off.size - 1]))
+    lengths = ends - starts + 1
+    return lengths[lengths >= l_min]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    m=st.integers(1, 3),
+    epsilon=st.floats(0.01, 0.6),
+    l_min=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_line_lengths_match_lexsort_oracle(n, m, epsilon, l_min, seed):
+    rec = recurrence_plot(random_cloud(n, m, seed), epsilon, (0, n))
+    lengths = diagonal_line_lengths(rec, l_min)
+    assert np.array_equal(lengths, _lexsort_line_lengths(rec, l_min))
+    assert lengths.dtype == np.int64
 
 
 def test_dominant_peak_count_families():
@@ -414,6 +499,197 @@ def test_lyapunov_validation():
         lyapunov_curve(emb, 0.1, theiler=2, t_max=0)
     with pytest.raises(ValueError):
         lyapunov_curve(emb, 0.1, theiler=2, t_max=99)
+
+
+def _curve_per_radius_tree(emb, epsilon, theiler, t_max, n_ref=2000, max_neighbors=64):
+    """The divergence curve with its own k-d tree and an index gather
+    track[nb + offsets] per reference: the oracle for lyapunov_curve."""
+    points = emb.points
+    track = emb.scalar_track
+    usable = len(emb) - t_max
+    tree = cKDTree(points[:usable])
+    if n_ref >= usable:
+        refs = np.arange(usable)
+    else:
+        refs = np.unique(np.linspace(0, usable - 1, n_ref).astype(np.int64))
+    neighbor_lists = tree.query_ball_point(points[refs], epsilon, workers=-1)
+    offsets = np.arange(t_max + 1)
+    sums = np.zeros(t_max + 1)
+    counts = np.zeros(t_max + 1, dtype=np.int64)
+    n_used = 0
+    for ref, raw in zip(refs, neighbor_lists):
+        nb = np.asarray(raw, dtype=np.int64)
+        nb = nb[np.abs(nb - ref) > theiler]
+        if nb.size == 0:
+            continue
+        n_used += 1
+        if nb.size > max_neighbors:
+            nb.sort()
+            pick = np.linspace(0, nb.size - 1, max_neighbors).astype(np.int64)
+            nb = nb[np.unique(pick)]
+        gaps = np.abs(track[nb[:, None] + offsets] - track[ref + offsets])
+        mean_gap = gaps.mean(axis=0)
+        ok = mean_gap > 0.0
+        sums[ok] += np.log(mean_gap[ok])
+        counts[ok] += 1
+    if n_used == 0:
+        raise NeighborhoodError(
+            f"no neighborhood within epsilon = {epsilon:g}; increase epsilon"
+        )
+    defined = counts > 0
+    return LyapunovCurve(
+        offsets[defined], sums[defined] / counts[defined], epsilon, emb.m,
+        emb.delay, theiler, emb.dt, n_used,
+    )
+
+
+def _scan_per_radius_tree(series, m_values, epsilons, theiler=None, t_max=None,
+                          n_ref=2000, max_neighbors=64):
+    """lyapunov_scan built on the per-radius oracle curve: (curves, lambda_by_m)."""
+    normed = normalize_series(series)
+    delay = autocorr_delay(normed)
+    if t_max is None:
+        t_max = min(600, max(30, (len(normed) - 2) // 4))
+    curves, by_m = [], {m: [] for m in m_values}
+    for m in m_values:
+        emb = delay_embed(normed, m, delay)
+        th = theiler if theiler is not None else 2 * delay * m
+        for eps in epsilons:
+            try:
+                curve = _curve_per_radius_tree(emb, eps, th, t_max, n_ref, max_neighbors)
+            except NeighborhoodError:
+                continue
+            curve = fitted(curve)
+            curves.append(curve)
+            by_m[m].append(curve.lambda_max)
+    return curves, {m: float(np.mean(v)) for m, v in by_m.items() if v}
+
+
+def assert_same_curve(curve, expected):
+    assert np.array_equal(curve.t_offsets, expected.t_offsets)
+    assert np.array_equal(curve.s_values, expected.s_values)
+    assert (curve.m, curve.epsilon, curve.theiler, curve.n_references) == (
+        expected.m, expected.epsilon, expected.theiler, expected.n_references)
+    assert curve.fit_window == expected.fit_window
+    assert curve.lambda_max == expected.lambda_max
+
+
+def assert_scan_matches_oracle(series, m_values, epsilons, **kwargs):
+    curves, by_m = _scan_per_radius_tree(series, m_values, epsilons, **kwargs)
+    if not curves:
+        with pytest.raises(NeighborhoodError):
+            lyapunov_scan(series, m_values, epsilons, **kwargs)
+        return
+    scan = lyapunov_scan(series, m_values, epsilons, **kwargs)
+    assert len(scan.curves) == len(curves)
+    for curve, expected in zip(scan.curves, curves):
+        assert_same_curve(curve, expected)
+    assert scan.lambda_by_m == by_m
+    lams = list(by_m.values())
+    assert scan.lambda_max == float(np.mean(lams))
+    assert scan.spread == max(lams) - min(lams)
+
+
+@pytest.mark.parametrize(
+    "series", [logistic_series(4000), sine_series(4000)], ids=["logistic", "sine"]
+)
+def test_scan_equals_per_radius_tree_oracle(series):
+    # max_neighbors = 8 makes most neighborhoods thin
+    assert_scan_matches_oracle(series, (2, 3, 4), (0.01, 0.02, 0.05), max_neighbors=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(40, 600),
+    m=st.integers(1, 4),
+    epsilon=st.floats(0.02, 0.6),
+    theiler=st.integers(0, 30),
+    t_max=st.integers(1, 30),
+    n_ref=st.integers(2, 300),
+    max_neighbors=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curve_with_shared_tree_equals_oracle_on_random_clouds(
+    n, m, epsilon, theiler, t_max, n_ref, max_neighbors, seed
+):
+    points = np.random.default_rng(seed).random((n, m))
+    emb = EmbeddedSeries(points, m, 1, 0.5, {})
+    usable = n - t_max
+    try:
+        expected = _curve_per_radius_tree(emb, epsilon, theiler, t_max, n_ref, max_neighbors)
+    except NeighborhoodError:
+        with pytest.raises(NeighborhoodError):
+            lyapunov_curve(emb, epsilon, theiler, t_max, n_ref, max_neighbors)
+        return
+    own = lyapunov_curve(emb, epsilon, theiler, t_max, n_ref, max_neighbors)
+    shared = lyapunov_curve(emb, epsilon, theiler, t_max, n_ref, max_neighbors,
+                            tree=cKDTree(points[:usable]))
+    assert_same_curve(own, expected)
+    assert_same_curve(shared, expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(80, 500),
+    m_values=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+    epsilons=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3, unique=True),
+    theiler=st.one_of(st.none(), st.integers(0, 20)),
+    t_max=st.integers(6, 30),
+    max_neighbors=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_equals_oracle_on_random_series(
+    n, m_values, epsilons, theiler, t_max, max_neighbors, seed
+):
+    series = TimeSeries(np.random.default_rng(seed).random(n), 1.0)
+    assert_scan_matches_oracle(series, tuple(m_values), tuple(epsilons), theiler=theiler,
+                               t_max=t_max, n_ref=100, max_neighbors=max_neighbors)
+
+
+def test_scan_builds_one_tree_per_m_and_one_at_a_time(monkeypatch):
+    built = []  # weak references to every tree the scan built
+
+    class CountedTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            assert all(ref() is None for ref in built), "two trees alive at once"
+            super().__init__(data, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(lyapunov, "cKDTree", CountedTree)
+    m_values, epsilons = (2, 3, 4), (0.01, 0.02, 0.04)
+    scan = lyapunov_scan(logistic_series(4000), m_values, epsilons)
+    assert len(scan.curves) == len(m_values) * len(epsilons)
+    assert len(built) == len(m_values)
+
+
+def test_neighbor_lists_are_held_one_block_at_a_time():
+    # dense 1-D cloud of four query blocks: every reference has hundreds of
+    # neighbors, so the lists of all references at once take over 10 MB
+    t_max, eps = 10, 0.05
+    n = 4 * lyapunov._QUERY_BLOCK + t_max
+    emb = delay_embed(TimeSeries(np.random.default_rng(11).random(n), 1.0), 1, 1)
+    queries = emb.points[: len(emb) - t_max]
+    tree = cKDTree(queries)
+    tracemalloc.start()
+    try:
+        all_lists = tree.query_ball_point(queries, eps)
+        held = tracemalloc.get_traced_memory()[0]
+        del all_lists
+        tracemalloc.reset_peak()
+        lyapunov_curve(emb, eps, theiler=2, t_max=t_max, n_ref=n, tree=tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held / 2
+
+
+def test_scan_rejects_t_max_without_two_usable_points():
+    series = logistic_series(200)
+    with pytest.raises(ValueError, match="fewer than two usable points"):
+        lyapunov_scan(series, m_values=(2,), delay=1, t_max=198)
+    scan = lyapunov_scan(series, m_values=(2,), epsilons=(2.0,), delay=1, theiler=0,
+                         t_max=197)
+    assert scan.curves[0].n_references == 2
 
 
 # ---------------------------------------------------------------- synthetic
