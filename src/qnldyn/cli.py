@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 numerical
 contract violation (truncation, grid resolution, empty neighborhoods).
+
+Each command imports the system or analysis module it uses when it runs,
+so start-up loads no scipy and `analyze f1` never does.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import sys
 import click
 import numpy as np
 
-from . import bjj, fock, kerr, morse
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalContractError
 from .series import SamplingPlan, TimeSeries, normalize_series
@@ -24,12 +26,14 @@ from .seriesio import (
     write_recurrence_pairs,
     write_series,
 )
-from .tsa import embedding, lyapunov, recurrence, returns
+from .tsa.embedding import DEFAULT_WINDOW
 
 CACHE_ENV = "QNLDYN_CACHE_DIR"
 
 
 def _kerr_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
+    from . import fock, kerr
+
     p = cfg.params
     chi = float(p.get("chi", 1.0))
     ratio = float(p.get("chi_prime_ratio", 0.0))
@@ -47,6 +51,8 @@ def _kerr_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
 
 
 def _morse_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
+    from . import morse
+
     p = cfg.params
     preset = str(p.get("preset", "default"))
     if preset not in morse.MORSE_PRESETS:
@@ -78,6 +84,8 @@ def _morse_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
 
 
 def _bjj_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
+    from . import bjj
+
     p = cfg.params
     n_atoms = int(p.get("n_atoms", 40))
     u = float(p.get("u", 50.0))
@@ -133,6 +141,8 @@ def _load_normalized(series_path: str) -> TimeSeries:
 @click.option("--output", "-o", default=None, help="Histogram CSV path.")
 def f1(series_path, cell_size, output):
     """First-return-time distribution of the reference cell."""
+    from .tsa import returns
+
     norm = _load_normalized(series_path)
     hist = returns.return_time_histogram(norm, cell_size)
     path = output or series_path + ".f1.csv"
@@ -155,11 +165,13 @@ def f1(series_path, cell_size, output):
 @click.option("--delay", default=0, show_default=True,
               help="Embedding delay in samples; 0 picks the autocorrelation delay.")
 @click.option("--window-start", default=0, show_default=True)
-@click.option("--window-size", default=recurrence.DEFAULT_WINDOW, show_default=True)
+@click.option("--window-size", default=DEFAULT_WINDOW, show_default=True)
 @click.option("--raw-scalar", is_flag=True, help="Skip embedding; use raw samples.")
 @click.option("--output-prefix", "-o", default=None)
 def rp(series_path, epsilon, m, delay, window_start, window_size, raw_scalar, output_prefix):
     """Recurrence plot of a series window: pair list and bitmap."""
+    from .tsa import embedding, recurrence
+
     norm = _load_normalized(series_path)
     if raw_scalar:
         emb = embedding.delay_embed(norm, 1, 1)
@@ -195,6 +207,8 @@ def rp(series_path, epsilon, m, delay, window_start, window_size, raw_scalar, ou
 @click.option("--output-prefix", "-o", default=None)
 def lyap(series_path, epsilons, m_values, theiler, t_max, output_prefix):
     """Divergence curves S(t) and the fitted maximal exponent."""
+    from .tsa import lyapunov
+
     series = read_series(series_path)
     scan = lyapunov.lyapunov_scan(
         series,
@@ -232,6 +246,8 @@ def _config(system: str, observable: str, t_start: float, dt: float,
 
 
 def _emit_f1(cfg: RunConfig, outdir: str, tag: str, cell_size: float) -> None:
+    from .tsa import returns
+
     series = run_simulation(cfg)
     series_path = os.path.join(outdir, f"{tag}.csv")
     write_series(series_path, series)
@@ -269,6 +285,8 @@ def fig7(output_dir):
 @click.option("--output-dir", "-d", default=".", show_default=True)
 def fig11(output_dir):
     """Divergence curves and exponent, even state, N = 40, u = 50."""
+    from .tsa import lyapunov
+
     os.makedirs(output_dir, exist_ok=True)
     cfg = _config("bjj", "lx", 0.0, 0.02, 200000, n_atoms=40, u=50.0, state="even")
     series = run_simulation(cfg)

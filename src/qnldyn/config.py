@@ -8,6 +8,7 @@ running defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -107,6 +108,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             seen[key] = caster(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
+        if caster is float and not math.isfinite(seen[key]):
+            raise ConfigError(f"{source}:{lineno}: {key!r} must be finite; got {value!r}")
     return _validate(seen, source)
 
 

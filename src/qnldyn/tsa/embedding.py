@@ -8,6 +8,11 @@ import numpy as np
 
 from ..series import TimeSeries
 
+#: Default number of embedded points a recurrence plot examines when no
+#: window is given.  It lives here, away from the k-d tree import, because
+#: the CLI reads it to build its `--window-size` option.
+DEFAULT_WINDOW = 5000
+
 
 @dataclass(frozen=True)
 class EmbeddedSeries:

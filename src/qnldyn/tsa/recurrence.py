@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .embedding import EmbeddedSeries
-
-#: Default number of embedded points examined when no window is given.
-DEFAULT_WINDOW = 5000
+from .embedding import DEFAULT_WINDOW, EmbeddedSeries
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ Independent oracles:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -145,6 +147,46 @@ def test_spectral_evolution_matches_direct_integration():
             direct = sol.y[: n + 1, k] + 1j * sol.y[n + 1 :, k]
             worst = max(worst, float(np.max(np.abs(spectral - direct))))
         assert worst < 1e-8
+
+
+def window_u(n_atoms, position):
+    """A coupling u inside the Josephson window (1, N^2), away from its ends."""
+    return 1.0 + (n_atoms**2 - 1.0) * (0.01 + 0.98 * position)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_atoms=st.integers(2, 60),
+    position=st.floats(0.0, 1.0),
+    J=st.floats(0.1, 10.0),
+)
+def test_operators_are_exactly_hermitian(n_atoms, position, J):
+    """L_x, L_y, L_z and H equal their adjoints with tolerance 0: L_- is the
+    mirror of L_+ and L_z is real diagonal, so no rounding can break it."""
+    ops = build_bjj(BJJParams.from_u(n_atoms, window_u(n_atoms, position), J=J))
+    for op in (ops.lx, ops.ly, ops.lz, ops.hamiltonian):
+        assert np.array_equal(op, op.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(1, 20),
+    position=st.floats(0.0, 1.0),
+    theta=st.floats(0.1, np.pi - 0.1),
+    phi=st.floats(-np.pi, np.pi),
+    ell=st.integers(1, 4),
+    t=st.floats(0.0, 1e3),
+)
+def test_evolution_preserves_norm_for_generated_states(half, position, theta, phi, ell, t):
+    """Unitarity for N <= 40, u across the window, t <= 1e3, on the normalized
+    sum of ell coherent states at azimuths phi + 2 pi j / ell: the norm
+    moves by at most 1e-12."""
+    n_atoms = 2 * half
+    ops = build_bjj(BJJParams.from_u(n_atoms, window_u(n_atoms, position)))
+    amps = sum(su2_coherent(theta, phi + 2.0 * np.pi * j / ell, n_atoms).amplitudes
+               for j in range(ell))
+    state = SpinState(amps / np.linalg.norm(amps))
+    assert abs(evolve_bjj(state, ops, t).norm() - 1.0) <= 1e-12
 
 
 def test_evolution_preserves_norm_and_energy():

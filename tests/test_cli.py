@@ -1,5 +1,7 @@
 """Command-line surface: simulate, analyze, repro, and exit-code contract."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -8,9 +10,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qnldyn
 from qnldyn.cli import cli, main
 from qnldyn.seriesio import read_series, write_series
 from qnldyn.series import TimeSeries
+from qnldyn.tsa.synthetic import logistic_series
 
 KERR_CFG = """\
 system = kerr
@@ -171,3 +175,145 @@ def test_morse_simulation_uses_cache(runner, tmp_path, monkeypatch):
     series = read_series(out)
     assert len(series) == 500
     assert series.origin["system"] == "morse"
+
+
+@pytest.mark.parametrize("system, key, value", [
+    ("bjj", "bjj.u", "nan"),
+    ("morse", "morse.alpha", "nan"),
+    ("kerr", "t_start", "inf"),
+])
+def test_non_finite_config_values_exit_one_naming_line_and_key(tmp_path, capsys, system, key,
+                                                                value):
+    cfg = write_cfg(tmp_path, f"system = {system}\nn_samples = 100\n{key} = {value}\n")
+    assert main(["simulate", cfg, "-o", str(tmp_path / "out.csv")]) == 1
+    assert f"run.cfg:3: '{key}' must be finite; got '{value}'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
+# ------------------------------------------------------------ import budget
+
+#: What `import qnldyn.cli` loads of the package: the modules every command
+#: uses, plus tsa.embedding for the default recurrence window.
+CLI_MODULES = {"qnldyn", "qnldyn.cli", "qnldyn.config", "qnldyn.errors", "qnldyn.series",
+               "qnldyn.seriesio", "qnldyn.tsa", "qnldyn.tsa.embedding"}
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qnldyn.__file__)))
+
+
+def loaded_after(code: str, cwd) -> set:
+    """Modules a fresh interpreter holds after running `code`."""
+    script = f"import sys\n{code}\nprint(repr(sorted(sys.modules)))"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=cwd, check=True)
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def within(modules: set, *packages: str) -> set:
+    """The modules that are one of `packages` or inside one."""
+    return {m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)}
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import qnldyn\nqnldyn.__version__", {"qnldyn"}),
+    ("import qnldyn.tsa", {"qnldyn", "qnldyn.tsa"}),
+    ("import qnldyn.cli", CLI_MODULES),
+])
+def test_imports_load_no_scipy_and_no_unused_module(tmp_path, code, expected):
+    modules = loaded_after(code, tmp_path)
+    assert within(modules, "qnldyn") == expected
+    assert not within(modules, "scipy")
+
+
+def run_in_fresh_interpreter(argv, cwd) -> set:
+    """Modules loaded by importing the CLI and running one command that must succeed."""
+    return loaded_after(f"from qnldyn.cli import main\nassert main({argv!r}) == 0", cwd)
+
+
+def test_analyze_f1_loads_no_scipy(tmp_path):
+    path = str(tmp_path / "sine.csv")
+    write_series(path, TimeSeries(np.sin(np.arange(2000) / 7.0), 1.0))
+    modules = run_in_fresh_interpreter(["analyze", "f1", path], tmp_path)
+    assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.tsa.returns"}
+    assert not within(modules, "scipy")
+
+
+def test_kerr_simulate_loads_no_k_d_tree_or_linear_algebra(tmp_path):
+    cfg = write_cfg(tmp_path, KERR_CFG.replace("n_samples = 4000", "n_samples = 200"))
+    modules = run_in_fresh_interpreter(["simulate", cfg, "-o", str(tmp_path / "k.csv")],
+                                       tmp_path)
+    assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.fock", "qnldyn.kerr",
+                                                      "qnldyn.spectral"}
+    assert not within(modules, "scipy.spatial", "scipy.linalg")
+
+
+def test_analyze_lyap_loads_only_the_lyapunov_module(tmp_path):
+    """No system module, so nothing of qnldyn's own asks for `scipy.special`.
+    scipy still loads it: importing `scipy.spatial`, the home of cKDTree,
+    imports `scipy.special` and `scipy.linalg`."""
+    path = str(tmp_path / "logistic.csv")
+    write_series(path, logistic_series(3000))
+    modules = run_in_fresh_interpreter(
+        ["analyze", "lyap", path, "--m", "3", "--epsilon", "0.05", "--t-max", "20"], tmp_path)
+    assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.tsa.lyapunov"}
+    assert within(modules, "scipy.spatial")
+
+
+# ------------------------------------------------------------ lazy exports
+
+#: The package exports as they stood when the packages imported every
+#: submodule eagerly: defining module -> names.
+QNLDYN_EXPORTS = {
+    "qnldyn.errors": ("ConfigError", "GridResolutionError", "NeighborhoodError",
+                      "NormalizationError", "NumericalContractError", "TruncationError"),
+    "qnldyn.fock": ("FockVector", "SuperpositionSpec", "choose_cutoff", "coherent_state",
+                    "inner", "norm", "quadrature_moment", "superpose_coherent"),
+    "qnldyn.bjj": ("BJJOperatorSet", "BJJParams", "SpinState", "bloch_series", "build_bjj",
+                   "evolve_bjj", "make_initial", "su2_coherent"),
+    "qnldyn.config": ("RunConfig", "load_config", "parse_config_text"),
+    "qnldyn.kerr": ("KerrParams", "evolve_kerr", "kerr_series", "revival_period",
+                    "xsq_closed_form"),
+    "qnldyn.morse": ("MORSE_PRESETS", "MorseEigenbasis", "MorseParams", "MorseState",
+                     "build_eigenbasis", "cached_eigenbasis", "default_grid", "evolve_morse",
+                     "morse_autocorrelation", "morse_moments_series",
+                     "morse_revival_period", "perelomov_state", "superpose_morse"),
+    "qnldyn.series": ("SamplingPlan", "TimeSeries", "normalize_series"),
+    "qnldyn.seriesio": ("read_series", "write_series"),
+}
+QNLDYN_SUBMODULES = ("bjj", "config", "errors", "fock", "kerr", "morse", "series",
+                     "seriesio", "spectral")
+
+TSA_EXPORTS = {
+    "qnldyn.tsa.embedding": ("EmbeddedSeries", "autocorr_delay", "delay_embed"),
+    "qnldyn.tsa.lyapunov": ("LyapunovCurve", "LyapunovScan", "auto_fit_window", "fit_slope",
+                            "lyapunov_curve", "lyapunov_scan"),
+    "qnldyn.tsa.recurrence": ("RecurrenceData", "diagonal_line_lengths", "diagonal_profile",
+                              "diagonal_spacings", "dominant_peak_count",
+                              "mean_diagonal_length", "recurrence_plot"),
+    "qnldyn.tsa.returns": ("ReturnTimeHistogram", "exponential_fit",
+                           "return_time_histogram"),
+    "qnldyn.tsa.synthetic": ("logistic_series", "quasiperiodic_series", "sine_series"),
+}
+TSA_SUBMODULES = ("embedding", "lyapunov", "recurrence", "returns", "synthetic")
+
+
+@pytest.mark.parametrize("package, exports, submodules", [
+    ("qnldyn", QNLDYN_EXPORTS, QNLDYN_SUBMODULES),
+    ("qnldyn.tsa", TSA_EXPORTS, TSA_SUBMODULES),
+])
+def test_lazy_exports_resolve_to_their_defining_objects(package, exports, submodules):
+    pkg = importlib.import_module(package)
+    names = [name for group in exports.values() for name in group]
+    assert set(pkg.__all__) == {*names, *submodules}
+    assert set(pkg.__all__) <= set(dir(pkg))
+    for module, group in exports.items():
+        for name in group:
+            assert getattr(pkg, name) is getattr(importlib.import_module(module), name)
+    for sub in submodules:
+        assert getattr(pkg, sub) is importlib.import_module(f"{package}.{sub}")
+    star: dict = {}
+    exec(f"from {package} import *", star)
+    assert {*names, *submodules} <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(pkg, "no_such_name")

@@ -1,6 +1,9 @@
 """Run-file parsing and on-disk formats: full-precision round trips."""
 
+import contextlib
+import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from qnldyn import seriesio
+from qnldyn import config, seriesio
 from qnldyn.config import RunConfig, load_config, parse_config_text
 from qnldyn.errors import ConfigError
 from qnldyn.series import TimeSeries
@@ -111,6 +114,54 @@ def test_top_level_bounds():
         parse_config_text("system=kerr\ndt = -0.1\n")
     with pytest.raises(ConfigError, match="n_samples must be at least 2"):
         parse_config_text("system=kerr\nn_samples = 1\n")
+
+
+@pytest.mark.parametrize("line", [
+    "t_start = inf", "dt = nan", "dt = -inf", "kerr.alpha_sq = 1e999",
+    "kerr.chi = NaN", "kerr.chi_prime_ratio = -1e400",
+])
+def test_non_finite_float_values_rejected_with_line_and_key(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=rf"run\.cfg:2: '{re.escape(key)}' must be finite"):
+        parse_config_text(f"system = kerr\n{line}\n", source="run.cfg")
+
+
+#: Every key the parser knows, top level and per system.
+KNOWN_KEYS = sorted([*config._TOP_KEYS,
+                     *(f"{section}.{key}" for section, table in config._SECTION_KEYS.items()
+                       for key in table)])
+
+config_values = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "1e-400", "kerr", "morse", "bjj", "x", "0", "-1"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_parse_config_text_raises_only_config_error_on_any_text(text):
+    with contextlib.suppress(ConfigError):
+        parse_config_text(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    system=st.one_of(st.none(), st.sampled_from(["kerr", "morse", "bjj"])),
+    lines=st.lists(st.tuples(st.sampled_from(KNOWN_KEYS), config_values), max_size=8),
+)
+def test_parse_config_text_raises_only_config_error_on_known_keys(system, lines):
+    """Arbitrary values under real keys either parse to finite floats or
+    raise ConfigError; nothing else escapes the parser."""
+    header = [] if system is None else [f"system = {system}"]
+    text = "\n".join(header + [f"{key} = {value}" for key, value in lines])
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    floats = [cfg.t_start, cfg.dt, *(v for v in cfg.params.values() if isinstance(v, float))]
+    assert all(math.isfinite(v) for v in floats)
 
 
 def test_load_config_reports_path(tmp_path):

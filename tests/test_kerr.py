@@ -11,6 +11,8 @@ Oracles:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qnldyn.fock import FockVector, coherent_state, inner, superpose_coherent
@@ -54,6 +56,23 @@ def test_norm_preserved_over_long_times():
     for t in (1.0, 137.0, 9999.0):
         evolved = evolve_kerr(state, params, t)
         assert_allclose(np.linalg.norm(evolved.amplitudes), 1.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    radius=st.floats(0.0, 5.0),
+    angle=st.floats(-np.pi, np.pi),
+    ell=st.integers(1, 4),
+    chi=st.floats(0.05, 2.0),
+    ratio=st.floats(0.0, 1e-2),
+    t=st.floats(-1e4, 1e4),
+)
+def test_evolution_preserves_norm_for_generated_packets(radius, angle, ell, chi, ratio, t):
+    """Unitarity for |alpha| <= 5, ell <= 4 and |t| <= 1e4: the norm moves by
+    at most 1e-12, rounding of unit-modulus phases over ~150 levels."""
+    state, _ = superpose_coherent(radius * np.exp(1j * angle), ell)
+    evolved = evolve_kerr(state, KerrParams(chi=chi, chi_prime=ratio * chi), t)
+    assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) <= 1e-12
 
 
 def test_evolution_group_property():

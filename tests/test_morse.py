@@ -15,6 +15,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
@@ -22,6 +24,7 @@ from qnldyn.errors import GridResolutionError
 from qnldyn.morse import (
     MORSE_PRESETS,
     MorseParams,
+    _trapezoid_weights,
     build_eigenbasis,
     cached_eigenbasis,
     default_grid,
@@ -173,6 +176,44 @@ def test_two_component_revives_at_quarter_period(morse_basis):
     quarter = morse_revival_period(1, PRESET) / 4.0
     assert abs(morse_autocorrelation(state, quarter)) > 1.0 - 1e-10
     assert_allclose(morse_revival_period(2, PRESET), quarter, atol=1e-14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    level=st.integers(2, 24),
+    quarter=st.integers(1, 3),
+    beta=st.floats(0.5, 2.0),
+    mu=st.floats(0.5, 2.0),
+    n_points=st.integers(3000, 6000),
+)
+def test_position_matrix_hermitian_for_generated_wells(level, quarter, beta, mu, n_points):
+    """Wells with lam = level + 1/2 + quarter/4 (a rational level number, so
+    no approximate-revival warning).  The quadrature before symmetrization is
+    symmetric to 1e-13 of its largest entry, and the returned operator is
+    real and exactly symmetric, hence Hermitian."""
+    lam = level + 0.5 + quarter / 4.0
+    params = MorseParams(D=(lam * beta) ** 2 / (2.0 * mu), beta=beta, mu=mu)
+    basis = build_eigenbasis(params, default_grid(params, n_points))
+    w = _trapezoid_weights(basis.grid)
+    raw = (basis.psi * (w * basis.grid)) @ basis.psi.T
+    assert np.max(np.abs(raw - raw.T)) <= 1e-13 * np.max(np.abs(raw))
+    x = position_matrix(basis)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, x.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    radius=st.floats(0.0, 1.5),
+    angle=st.floats(-np.pi, np.pi),
+    ell=st.integers(1, 4),
+    t=st.floats(-200.0, 200.0),
+)
+def test_evolution_preserves_norm_for_generated_packets(morse_basis, radius, angle, ell, t):
+    """Unitarity for |alpha| <= 1.5, ell <= 4 and |t| <= 200 on the default
+    well: the norm moves by at most 1e-12."""
+    state = superpose_morse(radius * np.exp(1j * angle), ell, morse_basis)
+    assert abs(evolve_morse(state, t).norm() - 1.0) <= 1e-12
 
 
 def test_evolution_preserves_norm_and_energy(morse_basis):
