@@ -192,7 +192,6 @@ def bloch_series(
     ops: BJJOperatorSet,
     plan: SamplingPlan,
     observable: str = "lx",
-    origin: dict | None = None,
 ) -> TimeSeries:
     """Sample the normalized Bloch component 2 <L_axis> / N along a grid.
 
@@ -219,6 +218,4 @@ def bloch_series(
         "t_start": repr(plan.t_start),
         "n_samples": str(plan.n_samples),
     }
-    if origin:
-        meta.update(origin)
     return TimeSeries(vals, plan.dt, meta)

@@ -3,19 +3,26 @@
 Exit codes: 0 success, 1 usage or configuration problem, 2 numerical
 contract violation (truncation, grid resolution, empty neighborhoods).
 
+`simulate`, `analyze f1|lyap` and `repro` share one simulate step and
+one step per analysis; each step writes its files and returns the lines
+the command prints.  A `repro` figure is a FIGURES entry: run-file texts,
+parsed as `simulate` parses a run file, and the analysis step for them.
+
 Each command imports the system or analysis module it uses when it runs,
 so start-up loads no scipy and `analyze f1` never does.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_config_text
 from .errors import ConfigError, NumericalContractError
 from .series import SamplingPlan, TimeSeries, normalize_series
 from .seriesio import (
@@ -35,18 +42,14 @@ def _kerr_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
     from . import fock, kerr
 
     p = cfg.params
-    chi = float(p.get("chi", 1.0))
-    ratio = float(p.get("chi_prime_ratio", 0.0))
-    alpha_sq = float(p.get("alpha_sq", 25.0))
-    ell = int(p.get("ell", 1))
-    if alpha_sq <= 0:
+    if p["alpha_sq"] <= 0:
         raise ConfigError("kerr.alpha_sq must be positive")
-    params = kerr.KerrParams(chi=chi, chi_prime=ratio * chi)
-    alpha = float(np.sqrt(alpha_sq))
-    if ell == 1:
+    params = kerr.KerrParams(chi=p["chi"], chi_prime=p["chi_prime_ratio"] * p["chi"])
+    alpha = float(np.sqrt(p["alpha_sq"]))
+    if p["ell"] == 1:
         state = fock.coherent_state(alpha)
     else:
-        state, _ = fock.superpose_coherent(alpha, ell)
+        state, _ = fock.superpose_coherent(alpha, p["ell"])
     return kerr.kerr_series(state, params, plan, cfg.observable)
 
 
@@ -54,24 +57,20 @@ def _morse_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
     from . import morse
 
     p = cfg.params
-    preset = str(p.get("preset", "default"))
-    if preset not in morse.MORSE_PRESETS:
+    if p["preset"] not in morse.MORSE_PRESETS:
         raise ConfigError(
             f"morse.preset must be one of {', '.join(sorted(morse.MORSE_PRESETS))}"
         )
-    params = morse.MORSE_PRESETS[preset]
     basis = morse.cached_eigenbasis(
-        params,
+        morse.MORSE_PRESETS[p["preset"]],
         cache_dir=os.environ.get(CACHE_ENV),
-        n_points=int(p.get("n_points", 6000)),
+        n_points=p["n_points"],
     )
-    alpha = float(p.get("alpha", 0.4))
-    ell = int(p.get("ell", 1))
-    n_prime = int(p.get("n_prime", basis.n_states - 1))
-    if ell == 1:
-        state = morse.perelomov_state(alpha, basis, n_prime=n_prime)
+    n_prime = p.get("n_prime", basis.n_states - 1)
+    if p["ell"] == 1:
+        state = morse.perelomov_state(p["alpha"], basis, n_prime=n_prime)
     else:
-        state = morse.superpose_morse(alpha, ell, basis, n_prime=n_prime)
+        state = morse.superpose_morse(p["alpha"], p["ell"], basis, n_prime=n_prime)
     obs = cfg.observable.lower()
     if obs in ("x", "p"):
         return morse.morse_moments_series(state, plan, obs)
@@ -87,14 +86,10 @@ def _bjj_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
     from . import bjj
 
     p = cfg.params
-    n_atoms = int(p.get("n_atoms", 40))
-    u = float(p.get("u", 50.0))
-    kind = str(p.get("state", "even"))
-    if kind not in ("even", "pi"):
-        raise ConfigError(f"bjj.state must be 'even' or 'pi'; got {kind!r}")
-    params = bjj.BJJParams.from_u(n_atoms, u)
-    ops = bjj.build_bjj(params)
-    state = bjj.make_initial(kind, n_atoms)
+    if p["state"] not in ("even", "pi"):
+        raise ConfigError(f"bjj.state must be 'even' or 'pi'; got {p['state']!r}")
+    ops = bjj.build_bjj(bjj.BJJParams.from_u(p["n_atoms"], p["u"]))
+    state = bjj.make_initial(p["state"], p["n_atoms"])
     return bjj.bloch_series(state, ops, plan, observable=cfg.observable)
 
 
@@ -102,10 +97,49 @@ def run_simulation(cfg: RunConfig) -> TimeSeries:
     plan = SamplingPlan(cfg.t_start, cfg.dt, cfg.n_samples)
     builder = {"kerr": _kerr_series, "morse": _morse_series, "bjj": _bjj_series}
     series = builder[cfg.system](cfg, plan)
-    origin = dict(series.origin)
-    for key, value in cfg.flat_items():
-        origin[str(key)] = value
+    origin = {**series.origin, **dict(cfg.flat_items())}
     return TimeSeries(series.values, series.dt, origin=origin)
+
+
+def _simulate_step(cfg: RunConfig, path: str) -> tuple[TimeSeries, list[str]]:
+    """Run the configuration, write its series to path; the series and summary."""
+    series = run_simulation(cfg)
+    write_series(path, series)
+    return series, [f"wrote {path} ({len(series)} samples, dt={series.dt:g})"]
+
+
+def _f1_step(series: TimeSeries, series_path: str, path: str, cell_size: float) -> list[str]:
+    """Return-time histogram of the normalized series, written to path."""
+    from .tsa import returns
+
+    hist = returns.return_time_histogram(normalize_series(series), cell_size)
+    name = os.path.basename(series_path)
+    write_f1_histogram(path, hist, metadata={"source": name})
+    if hist.insufficient:
+        click.echo(f"{name}: insufficient statistics: fewer than 10 returns", err=True)
+    fq = "n/a" if hist.fit_quality is None else f"{hist.fit_quality:.4f}"
+    return [
+        f"returns={len(hist.return_times)} occupied_bins={hist.occupied_bins} "
+        f"fit_quality={fq} mu={hist.mu_fit:.6g} mean_tau={hist.mean_tau:.6g}",
+        f"wrote {path}",
+    ]
+
+
+def _lyap_step(series: TimeSeries, series_path: str, prefix: str, **scan_options) -> list[str]:
+    """Divergence-curve scan; one curve file per (m, epsilon) under prefix."""
+    from .tsa import lyapunov
+
+    scan = lyapunov.lyapunov_scan(series, **scan_options)
+    meta = {"source": os.path.basename(series_path)}
+    for curve in scan.curves:
+        write_lyapunov_curve(f"{prefix}.m{curve.m}.eps{curve.epsilon:g}.csv", curve,
+                             metadata=meta)
+    by_m = " ".join(f"m={m}:{lam:+.6g}" for m, lam in sorted(scan.lambda_by_m.items()))
+    return [
+        f"lambda_max={scan.lambda_max:+.6g} per unit time ({by_m})",
+        f"spread={scan.spread:.6g} delay={scan.delay}",
+        f"wrote {len(scan.curves)} curve files under {prefix}.*",
+    ]
 
 
 @click.group()
@@ -119,19 +153,12 @@ def cli():
 def simulate(config_path, output):
     """Run the configured simulation and write the series CSV."""
     cfg = load_config(config_path)
-    series = run_simulation(cfg)
-    path = output or cfg.output
-    write_series(path, series)
-    click.echo(f"wrote {path} ({len(series)} samples, dt={series.dt:g})")
+    click.echo("\n".join(_simulate_step(cfg, output or cfg.output)[1]))
 
 
 @cli.group()
 def analyze():
     """Analyses over a stored series CSV."""
-
-
-def _load_normalized(series_path: str) -> TimeSeries:
-    return normalize_series(read_series(series_path))
 
 
 @analyze.command()
@@ -141,20 +168,8 @@ def _load_normalized(series_path: str) -> TimeSeries:
 @click.option("--output", "-o", default=None, help="Histogram CSV path.")
 def f1(series_path, cell_size, output):
     """First-return-time distribution of the reference cell."""
-    from .tsa import returns
-
-    norm = _load_normalized(series_path)
-    hist = returns.return_time_histogram(norm, cell_size)
     path = output or series_path + ".f1.csv"
-    write_f1_histogram(path, hist, metadata={"source": os.path.basename(series_path)})
-    fq = "n/a" if hist.fit_quality is None else f"{hist.fit_quality:.4f}"
-    click.echo(
-        f"mu={hist.mu_fit:.6g} mean_tau={hist.mean_tau:.6g} fit_quality={fq} "
-        f"returns={len(hist.return_times)} occupied_bins={hist.occupied_bins}"
-    )
-    if hist.insufficient:
-        click.echo("insufficient statistics: fewer than 10 returns", err=True)
-    click.echo(f"wrote {path}")
+    click.echo("\n".join(_f1_step(read_series(series_path), series_path, path, cell_size)))
 
 
 @analyze.command()
@@ -172,7 +187,7 @@ def rp(series_path, epsilon, m, delay, window_start, window_size, raw_scalar, ou
     """Recurrence plot of a series window: pair list and bitmap."""
     from .tsa import embedding, recurrence
 
-    norm = _load_normalized(series_path)
+    norm = normalize_series(read_series(series_path))
     if raw_scalar:
         emb = embedding.delay_embed(norm, 1, 1)
     else:
@@ -209,95 +224,94 @@ def lyap(series_path, epsilons, m_values, theiler, t_max, output_prefix):
     """Divergence curves S(t) and the fitted maximal exponent."""
     from .tsa import lyapunov
 
-    series = read_series(series_path)
-    scan = lyapunov.lyapunov_scan(
-        series,
-        m_values=tuple(m_values) or lyapunov.SCAN_DIMENSIONS,
-        epsilons=tuple(epsilons) or lyapunov.SCAN_EPSILONS,
+    lines = _lyap_step(
+        read_series(series_path),
+        series_path,
+        output_prefix or series_path + ".lyap",
+        m_values=m_values or lyapunov.SCAN_DIMENSIONS,
+        epsilons=epsilons or lyapunov.SCAN_EPSILONS,
         theiler=theiler if theiler > 0 else None,
         t_max=t_max if t_max > 0 else None,
     )
-    prefix = output_prefix or series_path + ".lyap"
-    for curve in scan.curves:
-        path = f"{prefix}.m{curve.m}.eps{curve.epsilon:g}.csv"
-        write_lyapunov_curve(path, curve)
-    by_m = " ".join(f"m={m}:{lam:+.6g}" for m, lam in sorted(scan.lambda_by_m.items()))
-    click.echo(f"lambda_max={scan.lambda_max:+.6g} per unit time ({by_m})")
-    click.echo(f"spread={scan.spread:.6g} delay={scan.delay}")
-    click.echo(f"wrote {len(scan.curves)} curve files under {prefix}.*")
+    click.echo("\n".join(lines))
+
+
+class Figure(NamedTuple):
+    """`repro` subcommand: each run simulated to <tag>.csv, then step to <tag><suffix>."""
+
+    help: str
+    step: Callable[..., list[str]]
+    suffix: str
+    runs: dict  # tag -> run-file text
+
+
+_KERR_25 = """\
+system = kerr
+observable = x^2
+t_start = 0.1
+dt = 0.008
+n_samples = 100000
+kerr.chi = 1.0
+kerr.chi_prime_ratio = 1e-3
+kerr.alpha_sq = 25
+kerr.ell = {ell}
+"""
+
+_BJJ_U50 = """\
+system = bjj
+observable = lx
+t_start = {t_start}
+dt = {dt}
+n_samples = {n_samples}
+bjj.n_atoms = 40
+bjj.u = 50
+bjj.state = {state}
+"""
+
+_F1 = functools.partial(_f1_step, cell_size=0.01)
+
+FIGURES = {
+    "fig3": Figure(
+        "Return-time distributions, coherent vs even state, |alpha|^2 = 25.",
+        _F1, ".f1.csv",
+        {"kerr-coherent-25": _KERR_25.format(ell=1),
+         "kerr-even-25": _KERR_25.format(ell=2)},
+    ),
+    "fig7": Figure(
+        "Return-time distributions, pi vs even state, N = 40, u = 50.",
+        _F1, ".f1.csv",
+        {f"bjj-{state}-u50": _BJJ_U50.format(t_start=0.1, dt=0.1, n_samples=100000,
+                                             state=state)
+         for state in ("pi", "even")},
+    ),
+    "fig11": Figure(
+        "Divergence curves and exponent, even state, N = 40, u = 50.",
+        _lyap_step, ".lyap",
+        {"bjj-even-u50": _BJJ_U50.format(t_start=0.0, dt=0.02, n_samples=200000,
+                                         state="even")},
+    ),
+}
 
 
 @cli.group()
 def repro():
-    """Chained simulate + analyze runs with pinned parameters."""
+    """Pinned figure runs through the simulate and analyze steps."""
 
 
-def _config(system: str, observable: str, t_start: float, dt: float,
-            n_samples: int, **params) -> RunConfig:
-    return RunConfig(
-        system=system,
-        observable=observable,
-        t_start=t_start,
-        dt=dt,
-        n_samples=n_samples,
-        output="series.csv",
-        params=params,
-    )
-
-
-def _emit_f1(cfg: RunConfig, outdir: str, tag: str, cell_size: float) -> None:
-    from .tsa import returns
-
-    series = run_simulation(cfg)
-    series_path = os.path.join(outdir, f"{tag}.csv")
-    write_series(series_path, series)
-    hist = returns.return_time_histogram(normalize_series(series), cell_size)
-    hist_path = os.path.join(outdir, f"{tag}.f1.csv")
-    write_f1_histogram(hist_path, hist, metadata={"source": f"{tag}.csv"})
-    fq = "n/a" if hist.fit_quality is None else f"{hist.fit_quality:.4f}"
-    click.echo(f"{tag}: returns={len(hist.return_times)} "
-               f"occupied_bins={hist.occupied_bins} fit_quality={fq}")
-
-
-@repro.command()
-@click.option("--output-dir", "-d", default=".", show_default=True)
-def fig3(output_dir):
-    """Return-time distributions, coherent vs even state, |alpha|^2 = 25."""
+def _repro(name: str, output_dir: str) -> None:
+    figure = FIGURES[name]
     os.makedirs(output_dir, exist_ok=True)
-    for tag, ell in (("kerr-coherent-25", 1), ("kerr-even-25", 2)):
-        cfg = _config("kerr", "x^2", 0.1, 0.008, 100000,
-                      chi=1.0, chi_prime_ratio=1e-3, alpha_sq=25.0, ell=ell)
-        _emit_f1(cfg, output_dir, tag, cell_size=0.01)
+    for tag, text in figure.runs.items():
+        path = os.path.join(output_dir, tag + ".csv")
+        series, lines = _simulate_step(parse_config_text(text, f"{name}:{tag}"), path)
+        lines += figure.step(series, path, os.path.join(output_dir, tag + figure.suffix))
+        click.echo("\n".join(f"{tag}: {line}" for line in lines))
 
 
-@repro.command()
-@click.option("--output-dir", "-d", default=".", show_default=True)
-def fig7(output_dir):
-    """Return-time distributions, pi vs even state, N = 40, u = 50."""
-    os.makedirs(output_dir, exist_ok=True)
-    for tag, kind in (("bjj-pi-u50", "pi"), ("bjj-even-u50", "even")):
-        cfg = _config("bjj", "lx", 0.1, 0.1, 100000,
-                      n_atoms=40, u=50.0, state=kind)
-        _emit_f1(cfg, output_dir, tag, cell_size=0.01)
-
-
-@repro.command()
-@click.option("--output-dir", "-d", default=".", show_default=True)
-def fig11(output_dir):
-    """Divergence curves and exponent, even state, N = 40, u = 50."""
-    from .tsa import lyapunov
-
-    os.makedirs(output_dir, exist_ok=True)
-    cfg = _config("bjj", "lx", 0.0, 0.02, 200000, n_atoms=40, u=50.0, state="even")
-    series = run_simulation(cfg)
-    series_path = os.path.join(output_dir, "bjj-even-u50.csv")
-    write_series(series_path, series)
-    scan = lyapunov.lyapunov_scan(series)
-    prefix = os.path.join(output_dir, "bjj-even-u50.lyap")
-    for curve in scan.curves:
-        write_lyapunov_curve(f"{prefix}.m{curve.m}.eps{curve.epsilon:g}.csv", curve)
-    by_m = " ".join(f"m={m}:{lam:+.6g}" for m, lam in sorted(scan.lambda_by_m.items()))
-    click.echo(f"lambda_max={scan.lambda_max:+.6g} per unit time ({by_m})")
+for _name, _figure in FIGURES.items():
+    repro.command(_name, help=_figure.help)(
+        click.option("--output-dir", "-d", default=".", show_default=True)(
+            functools.partial(_repro, _name)))
 
 
 def main(argv=None) -> int:

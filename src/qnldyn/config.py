@@ -3,7 +3,8 @@
 A run file is plain text: one `key = value` per line, `#` comments,
 dotted prefixes for sections (`kerr.chi_prime_ratio = 1e-3`).  Unknown
 keys are rejected by name so typos fail loudly instead of silently
-running defaults.
+running defaults.  A key left out takes its default from the tables
+below, so `RunConfig.params` holds every section key that has one.
 """
 
 from __future__ import annotations
@@ -13,51 +14,49 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-#: Recognized keys and their parsers, per section.
+#: Every run-file key: its parser and its default.  A None default is
+#: filled elsewhere: `system` is required, `observable` defaults per
+#: system, and `morse.n_prime` defaults to the preset's top bound level.
 _TOP_KEYS = {
-    "system": str,
-    "observable": str,
-    "t_start": float,
-    "dt": float,
-    "n_samples": int,
-    "output": str,
+    "system": (str, None),
+    "observable": (str, None),
+    "t_start": (float, 0.0),
+    "dt": (float, 0.1),
+    "n_samples": (int, 100000),
+    "output": (str, "series.csv"),
 }
 
 _SECTION_KEYS = {
     "kerr": {
-        "chi": float,
-        "chi_prime_ratio": float,
-        "alpha_sq": float,
-        "ell": int,
+        "chi": (float, 1.0),
+        "chi_prime_ratio": (float, 0.0),
+        "alpha_sq": (float, 25.0),
+        "ell": (int, 1),
     },
     "morse": {
-        "preset": str,
-        "alpha": float,
-        "ell": int,
-        "n_prime": int,
-        "n_points": int,
+        "preset": (str, "default"),
+        "alpha": (float, 0.4),
+        "ell": (int, 1),
+        "n_prime": (int, None),
+        "n_points": (int, 6000),
     },
     "bjj": {
-        "n_atoms": int,
-        "u": float,
-        "state": str,
+        "n_atoms": (int, 40),
+        "u": (float, 50.0),
+        "state": (str, "even"),
     },
 }
 
-_SYSTEMS = tuple(_SECTION_KEYS)
+_OBSERVABLES = {"kerr": "x^2", "morse": "x", "bjj": "lx"}
 
-_DEFAULTS = {
-    "observable": None,  # per-system default filled in validate
-    "t_start": 0.0,
-    "dt": 0.1,
-    "n_samples": 100000,
-    "output": "series.csv",
-}
+
+def _defaults(table: dict) -> dict:
+    return {key: default for key, (_, default) in table.items() if default is not None}
 
 
 @dataclass
 class RunConfig:
-    """Parsed and validated run file."""
+    """Parsed and validated run file; params maps section keys to resolved values."""
 
     system: str
     observable: str
@@ -99,9 +98,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             table = _SECTION_KEYS.get(section)
             if table is None or sub not in table:
                 raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-            caster = table[sub]
+            caster = table[sub][0]
         elif key in _TOP_KEYS:
-            caster = _TOP_KEYS[key]
+            caster = _TOP_KEYS[key][0]
         else:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         try:
@@ -117,38 +116,29 @@ def _validate(seen: dict, source: str) -> RunConfig:
     if "system" not in seen:
         raise ConfigError(f"{source}: missing required key 'system'")
     system = str(seen.pop("system")).lower()
-    if system not in _SYSTEMS:
+    if system not in _SECTION_KEYS:
         raise ConfigError(
-            f"{source}: system must be one of {', '.join(_SYSTEMS)}; got {system!r}"
+            f"{source}: system must be one of {', '.join(_SECTION_KEYS)}; got {system!r}"
         )
-    top = dict(_DEFAULTS)
-    for key in list(seen):
-        if "." not in key:
-            top[key] = seen.pop(key)
-    params: dict[str, object] = {}
+    top = _defaults(_TOP_KEYS)
+    top["observable"] = _OBSERVABLES[system]
+    params = _defaults(_SECTION_KEYS[system])
     for key, value in seen.items():
-        section, _, sub = key.partition(".")
-        if section != system:
+        section, dot, sub = key.partition(".")
+        if not dot:
+            top[key] = value
+        elif section != system:
             raise ConfigError(
                 f"{source}: key {key!r} belongs to system {section!r}, "
                 f"but system = {system}"
             )
-        params[sub] = value
-    if top["observable"] is None:
-        top["observable"] = {"kerr": "x^2", "morse": "x", "bjj": "lx"}[system]
+        else:
+            params[sub] = value
     if top["dt"] <= 0:
         raise ConfigError(f"{source}: dt must be positive")
     if top["n_samples"] < 2:
         raise ConfigError(f"{source}: n_samples must be at least 2")
-    return RunConfig(
-        system=system,
-        observable=str(top["observable"]),
-        t_start=float(top["t_start"]),
-        dt=float(top["dt"]),
-        n_samples=int(top["n_samples"]),
-        output=str(top["output"]),
-        params=params,
-    )
+    return RunConfig(system=system, params=params, **top)
 
 
 def load_config(path: str) -> RunConfig:

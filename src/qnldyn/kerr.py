@@ -106,7 +106,6 @@ def kerr_series(
     params: KerrParams,
     plan: SamplingPlan,
     observable: str = "x^2",
-    origin: dict | None = None,
 ) -> TimeSeries:
     """Sample <x^k>, <p^k>, or the survival probability along a time grid.
 
@@ -127,8 +126,6 @@ def kerr_series(
         "t_start": repr(plan.t_start),
         "n_samples": str(plan.n_samples),
     }
-    if origin:
-        meta.update(origin)
 
     if kind == "fidelity":
         populations = np.abs(state.amplitudes) ** 2

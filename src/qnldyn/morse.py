@@ -28,6 +28,10 @@ CACHE_FORMAT_VERSION = 1
 #: level-number parameter; the exact-revival bookkeeping needs a small one.
 _MAX_DENOMINATOR = 64
 
+#: Ulps within which lam - 1/2 counts as an integer: lam computed from D,
+#: beta and mu lands up to 2 ulps away from the integer it stands for.
+_LEVEL_ULPS = 4
+
 
 @dataclass(frozen=True)
 class MorseParams:
@@ -72,13 +76,15 @@ class MorseParams:
     def n_max(self) -> int:
         """Index of the highest bound state: largest n with n < lam - 1/2.
 
-        When lam - 1/2 is itself an integer the state at that index sits
-        exactly at the dissociation threshold and is not normalizable, so
-        the strict inequality excludes it.
+        When lam - 1/2 is an integer, to within _LEVEL_ULPS, the state at
+        that index sits exactly at the dissociation threshold and is not
+        normalizable, so the strict inequality excludes it.
         """
         edge = self.level_number
-        fl = np.floor(edge)
-        return int(fl) - 1 if fl == edge else int(fl)
+        k = np.rint(edge)
+        if abs(edge - k) <= _LEVEL_ULPS * np.spacing(k):
+            return int(k) - 1
+        return int(np.floor(edge))
 
     @property
     def anharmonicity(self) -> float:
@@ -386,7 +392,6 @@ def morse_moments_series(
     state: MorseState,
     plan: SamplingPlan,
     observable: str = "x",
-    origin: dict | None = None,
 ) -> TimeSeries:
     """Sample <x>(t) or <p>(t) over a uniform time grid.
 
@@ -415,8 +420,6 @@ def morse_moments_series(
         "t_start": repr(plan.t_start),
         "n_samples": str(plan.n_samples),
     }
-    if origin:
-        meta.update(origin)
     return TimeSeries(vals, plan.dt, meta)
 
 

@@ -49,13 +49,11 @@ def _header_lines(metadata: dict) -> list[str]:
     return lines
 
 
-def write_series(path: str, series: TimeSeries, metadata: dict | None = None) -> None:
-    """Series CSV: metadata header, then one value per line."""
+def write_series(path: str, series: TimeSeries) -> None:
+    """Series CSV: dt and the series origin as header, then one value per line."""
     meta = {"dt": float(series.dt)}
     for key, value in series.origin.items():
         meta.setdefault(str(key), value)
-    if metadata:
-        meta.update(metadata)
     header = "\n".join(_header_lines(meta)) + "\n"
     values = tuple(series.values.tolist())
     rows = ((_FLOAT_FMT + "\n") * len(values)) % values

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qnldyn
+import qnldyn.cli as cli_module
 from qnldyn.cli import cli, main
 from qnldyn.seriesio import read_series, write_series
 from qnldyn.series import TimeSeries
@@ -135,6 +136,86 @@ def test_repro_return_time_pair(runner, tmp_path):
         assert os.path.exists(tmp_path / f"{tag}.csv")
         assert os.path.exists(tmp_path / f"{tag}.f1.csv")
         assert f"{tag}: returns=" in result.output
+
+
+#: The analyze command each figure's runs go through, with its options.
+FIGURE_ANALYSES = {
+    "fig3": ("f1", ".f1.csv", ("--cell-size", "0.01")),
+    "fig7": ("f1", ".f1.csv", ("--cell-size", "0.01")),
+    "fig11": ("lyap", ".lyap", ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_ANALYSES))
+def test_repro_equals_simulate_then_analyze(runner, tmp_path, name):
+    """Every file repro writes is byte-identical to what simulate and analyze
+    write for the same run text, and repro prints their lines, tagged.
+    Each analysis output records its source series."""
+    command, suffix, options = FIGURE_ANALYSES[name]
+    repro_dir, chain_dir = tmp_path / "repro", tmp_path / "chain"
+    result = runner.invoke(cli, ["repro", name, "-d", str(repro_dir)])
+    assert result.exit_code == 0, result.output
+    chain_dir.mkdir()
+    expected_lines = []
+    for tag, text in cli_module.FIGURES[name].runs.items():
+        cfg = write_cfg(tmp_path, text, name=f"{tag}.cfg")
+        series = str(chain_dir / f"{tag}.csv")
+        steps = (["simulate", cfg, "-o", series],
+                 ["analyze", command, series, *options, "-o", str(chain_dir / (tag + suffix))])
+        for argv in steps:
+            step = runner.invoke(cli, argv)
+            assert step.exit_code == 0, step.output
+            expected_lines += [f"{tag}: {line}" for line in step.stdout.splitlines()]
+    assert sorted(os.listdir(repro_dir)) == sorted(os.listdir(chain_dir))
+    for file in os.listdir(chain_dir):
+        data = (chain_dir / file).read_bytes()
+        assert (repro_dir / file).read_bytes() == data, file
+        tag = file.split(".")[0]
+        if file != f"{tag}.csv":  # an analysis output names its series
+            assert f"# source={tag}.csv\n".encode() in data, file
+    assert result.stdout.replace(str(repro_dir), str(chain_dir)).splitlines() == expected_lines
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig7"])
+def test_repro_warns_on_insufficient_statistics(runner, tmp_path, monkeypatch, name):
+    """Runs cut to 400 samples return fewer than 10 times; repro warns on
+    stderr as analyze f1 does, and still prints each run's summary."""
+    figure = cli_module.FIGURES[name]
+    short = {tag: text.replace("n_samples = 100000", "n_samples = 400")
+             for tag, text in figure.runs.items()}
+    monkeypatch.setitem(cli_module.FIGURES, name, figure._replace(runs=short))
+    result = runner.invoke(cli, ["repro", name, "-d", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    for tag in short:
+        assert f"{tag}: returns=" in result.stdout
+        assert f"{tag}.csv: insufficient statistics" in result.stderr
+        analyzed = runner.invoke(cli, ["analyze", "f1", str(tmp_path / f"{tag}.csv")])
+        assert f"{tag}.csv: insufficient statistics" in analyzed.stderr
+
+
+#: Every section key with a static default, as the series header writes it.
+SECTION_DEFAULTS = {
+    "kerr": {"kerr.chi": "1", "kerr.chi_prime_ratio": "0", "kerr.alpha_sq": "25",
+             "kerr.ell": "1"},
+    "morse": {"morse.preset": "default", "morse.alpha": "0.40000000000000002",
+              "morse.ell": "1", "morse.n_points": "6000"},
+    "bjj": {"bjj.n_atoms": "40", "bjj.u": "50", "bjj.state": "even"},
+}
+
+
+@pytest.mark.parametrize("system", sorted(SECTION_DEFAULTS))
+def test_omitted_keys_write_their_defaults_into_the_series_header(runner, tmp_path,
+                                                                   monkeypatch, system):
+    monkeypatch.delenv("QNLDYN_CACHE_DIR", raising=False)
+    cfg = write_cfg(tmp_path, f"system = {system}\nn_samples = 50\n")
+    out = str(tmp_path / "series.csv")
+    result = runner.invoke(cli, ["simulate", cfg, "-o", out])
+    assert result.exit_code == 0, result.output
+    origin = read_series(out).origin
+    section = {key: value for key, value in origin.items() if key.startswith(system + ".")}
+    assert section == SECTION_DEFAULTS[system]
+    assert "morse.n_prime" not in origin
+    assert origin["t_start"] == "0" and origin["dt"] == "0.10000000000000001"
 
 
 def test_help_screens(runner):

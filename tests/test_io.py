@@ -173,7 +173,7 @@ def test_load_config_reports_path(tmp_path):
     good.write_text("system = bjj\nbjj.n_atoms = 40\nbjj.u = 50\n")
     cfg = load_config(str(good))
     assert cfg.system == "bjj"
-    assert cfg.params == {"n_atoms": 40, "u": 50.0}
+    assert cfg.params == {"n_atoms": 40, "u": 50.0, "state": "even"}
 
 
 # ------------------------------------------------------------------ series io

@@ -79,6 +79,28 @@ def test_threshold_level_is_excluded():
     assert deeper.n_max == 21
 
 
+def test_threshold_level_excluded_when_level_number_rounds_up(morse_basis):
+    """lam = 5/2 computed from D, beta and mu lands one ulp above the integer
+    level number 2; the threshold state stays out and the basis builds."""
+    params = MorseParams(D=(2.5 * 0.75) ** 2 / (2 * 1.75), beta=0.75, mu=1.75)
+    assert params.level_number > 2.0
+    assert params.n_max == 1
+    assert build_eigenbasis(params).n_states == 2
+    assert morse_basis.n_states == 21
+
+
+@settings(max_examples=50, deadline=None)
+@given(level=st.integers(2, 29), beta=st.floats(0.5, 2.0), mu=st.floats(0.5, 2.0))
+def test_integer_level_number_excludes_threshold_for_generated_wells(level, beta, mu):
+    """lam = level + 1/2 from generated beta and mu: lam - 1/2 lands on the
+    integer or a few ulps to either side, and the threshold state is never
+    counted as bound."""
+    lam = level + 0.5
+    params = MorseParams(D=(lam * beta) ** 2 / (2.0 * mu), beta=beta, mu=mu)
+    assert params.n_max == level - 1
+    assert build_eigenbasis(params).n_states == level
+
+
 def test_bound_energies_quadratic_in_n():
     energies = PRESET.bound_energies()
     n = np.arange(energies.size, dtype=float)
