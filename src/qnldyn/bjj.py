@@ -20,6 +20,11 @@ from .series import SamplingPlan, TimeSeries
 from .spectral import expectation_series
 
 
+def _check_n_atoms(n_atoms: int) -> None:
+    if n_atoms < 2:
+        raise ValueError("n_atoms must be >= 2")
+
+
 @dataclass(frozen=True)
 class BJJParams:
     """Atom number, hopping J, on-site interaction U.
@@ -34,8 +39,7 @@ class BJJParams:
     U: float = 0.0
 
     def __post_init__(self):
-        if self.n_atoms < 2:
-            raise ValueError("n_atoms must be >= 2")
+        _check_n_atoms(self.n_atoms)
         if not self.J > 0:
             raise ValueError("J must be positive")
         if self.U < 0:
@@ -51,6 +55,7 @@ class BJJParams:
     @classmethod
     def from_u(cls, n_atoms: int, u: float, J: float = 1.0) -> "BJJParams":
         """Build from the dimensionless coupling: U = u J / N."""
+        _check_n_atoms(n_atoms)  # before U divides by it
         return cls(n_atoms=n_atoms, J=J, U=u * J / n_atoms)
 
     @property

@@ -271,6 +271,14 @@ def test_non_finite_config_values_exit_one_naming_line_and_key(tmp_path, capsys,
     assert not os.path.exists(tmp_path / "out.csv")
 
 
+@pytest.mark.parametrize("n_atoms", [0, 1, -3])
+def test_too_few_atoms_exit_one_without_traceback(tmp_path, capsys, n_atoms):
+    cfg = write_cfg(tmp_path, f"system = bjj\nn_samples = 50\nbjj.n_atoms = {n_atoms}\n")
+    assert main(["simulate", cfg, "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: n_atoms must be >= 2\n"
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
 # ------------------------------------------------------------ import budget
 
 #: What `import qnldyn.cli` loads of the package: the modules every command

@@ -9,7 +9,9 @@ Oracles:
     and Hermitian operators;
   - the survival amplitude at t = 0 is the total population;
   - a level with zero weight contributes nothing, so the energy it is
-    given (NaN included) cannot change the series.
+    given (NaN included) cannot change the series;
+  - every phase the kernel generates is np.exp(-1j * E t) to 1e-15, for
+    |E t| up to 1e12, at E t = 0 and at odd multiples of pi.
 """
 
 from unittest import mock
@@ -256,3 +258,37 @@ def test_survival_at_zero_is_total_population(energies, data):
     )
     amp = spectral.survival_amplitude(energies, populations, np.zeros(3))
     assert_allclose(amp, np.sum(populations), rtol=1e-14, atol=1e-15)
+
+
+def kernel_phases(energies, times):
+    """Every block _phase_blocks yields, copied into one (levels, times) grid."""
+    grid = np.empty((energies.size, times.size), dtype=complex)
+    for blk, block in spectral._phase_blocks(energies, times):
+        grid[:, blk] = block
+    return grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(float, st.integers(1, 12), elements=st.floats(-1e6, 1e6)),
+    arrays(float, st.integers(1, 60), elements=st.floats(-1e6, 1e6)),
+    st.integers(1, 64),
+)
+def test_phases_match_exp_up_to_1e12_rad(energies, times, block_entries):
+    times = np.append(times, 0.0)
+    x = np.multiply.outer(energies, times)
+    with mock.patch.object(spectral, "_BLOCK_ENTRIES", block_entries):
+        got = kernel_phases(energies, times)
+    assert np.max(np.abs(got - np.exp(-1j * x))) <= 1e-15
+    assert np.all(got[x == 0] == 1 + 0j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10**11, 10**11))
+def test_phases_finite_at_and_next_to_odd_multiples_of_pi(k):
+    centre = (2 * k + 1) * np.pi
+    energies = np.array([np.nextafter(centre, -np.inf), centre, np.nextafter(centre, np.inf)])
+    times = np.array([1.0, -1.0, 0.5])
+    got = kernel_phases(energies, times)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - np.exp(-1j * np.multiply.outer(energies, times)))) <= 1e-15
