@@ -1,7 +1,8 @@
 """Command-line front end: simulate, analyze, repro.
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 numerical
-contract violation (truncation, grid resolution, empty neighborhoods).
+Exit codes: 0 success, 1 usage or configuration problem or an output
+file that cannot be written, 2 numerical contract violation (truncation,
+grid resolution, empty neighborhoods).
 
 `simulate`, `analyze f1|lyap` and `repro` share one simulate step and
 one step per analysis; each step writes its files and returns the lines
@@ -23,7 +24,7 @@ import click
 import numpy as np
 
 from .config import RunConfig, load_config, parse_config_text
-from .errors import ConfigError, NumericalContractError
+from .errors import ConfigError, NumericalContractError, OutputError
 from .series import SamplingPlan, TimeSeries, normalize_series
 from .seriesio import (
     read_series,
@@ -62,9 +63,7 @@ def _morse_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
             f"morse.preset must be one of {', '.join(sorted(morse.MORSE_PRESETS))}"
         )
     basis = morse.cached_eigenbasis(
-        morse.MORSE_PRESETS[p["preset"]],
-        cache_dir=os.environ.get(CACHE_ENV),
-        n_points=p["n_points"],
+        morse.MORSE_PRESETS[p["preset"]], cache_dir=os.environ.get(CACHE_ENV)
     )
     n_prime = p.get("n_prime", basis.n_states - 1)
     if p["ell"] == 1:
@@ -300,7 +299,10 @@ def repro():
 
 def _repro(name: str, output_dir: str) -> None:
     figure = FIGURES[name]
-    os.makedirs(output_dir, exist_ok=True)
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot write {output_dir}: {exc.strerror}") from exc
     for tag, text in figure.runs.items():
         path = os.path.join(output_dir, tag + ".csv")
         series, lines = _simulate_step(parse_config_text(text, f"{name}:{tag}"), path)
@@ -325,7 +327,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalContractError as exc:

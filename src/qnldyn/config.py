@@ -38,7 +38,6 @@ _SECTION_KEYS = {
         "alpha": (float, 0.4),
         "ell": (int, 1),
         "n_prime": (int, None),
-        "n_points": (int, 6000),
     },
     "bjj": {
         "n_atoms": (int, 40),

@@ -27,3 +27,7 @@ class NeighborhoodError(NumericalContractError):
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
+
+
+class OutputError(OSError):
+    """An output file could not be written; the message names its path."""

@@ -166,16 +166,12 @@ def is_normalized(a: FockVector, tol: float = NORM_TOL) -> bool:
 
 
 def apply_quadrature(amps: np.ndarray, axis: str) -> np.ndarray:
-    """Apply x = (a + a^dag)/sqrt(2) or p = (a - a^dag)/(i sqrt(2)).
+    """Apply x = (a + a^dag)/sqrt(2) or p = (a - a^dag)/(i sqrt(2)) to a vector.
 
-    Acts on the leading dimension, so a (levels, batch) array evolves a
-    whole batch of states at once.  The result has the same shape; the
-    caller is responsible for headroom at the top of the ladder.
+    The result has the same length; the caller is responsible for headroom
+    at the top of the ladder.
     """
-    n = np.arange(1, amps.shape[0])
-    root = np.sqrt(n)
-    if amps.ndim == 2:
-        root = root[:, None]
+    root = np.sqrt(np.arange(1, amps.size))
     lowered = np.zeros_like(amps)
     raised = np.zeros_like(amps)
     lowered[:-1] = root * amps[1:]  # a

@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.special import gammaln
 
 from .errors import NormalizationError, TruncationError
-from .fock import FockVector, apply_quadrature, choose_cutoff, is_normalized
+from .fock import SQRT2, FockVector, choose_cutoff, is_normalized
 from .series import SamplingPlan, TimeSeries
 from .spectral import expectation_series, survival_amplitude
 
@@ -139,9 +139,13 @@ def kerr_series(
             f"top {order} levels carry weight {top_weight:.3e} > 1e-10"
         )
     padded = np.concatenate([state.amplitudes, np.zeros(order, dtype=complex)])
-    op = np.eye(padded.size, dtype=complex)
-    for _ in range(order):
-        op = apply_quadrature(op, kind)
+    root = np.sqrt(np.arange(1, padded.size)) / SQRT2
+    # x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2); a sits above the diagonal
+    bands = [root, root] if kind == "x" else [-1j * root, 1j * root]
+    quad = sparse.diags_array(bands, offsets=[1, -1], dtype=complex)
+    op = quad
+    for _ in range(order - 1):
+        op = op @ quad
     theta = level_phases(params, padded.size - 1)
     vals = expectation_series(theta, padded, sparse.csr_array(op), times)
     return TimeSeries(vals, plan.dt, meta)

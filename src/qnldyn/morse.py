@@ -2,9 +2,10 @@
 
 The well V(x) = D (e^{-2 beta x} - 2 e^{-beta x}) supports finitely many
 bound states; they are sampled on a real-space grid through generalized
-Laguerre polynomials and used as the working basis.  Wavepackets built on
-the highest bound level evolve by exact eigenphases, so revival checks at
-long times carry no integrator error.
+Laguerre polynomials and used as the working basis.  The grid only
+serves the position matrix; momentum follows from it and the spectrum.
+Wavepackets built on the highest bound level evolve by exact
+eigenphases, so revival checks at long times carry no integrator error.
 """
 
 from __future__ import annotations
@@ -149,10 +150,6 @@ class MorseEigenbasis:
     def n_states(self) -> int:
         return self.energies.size
 
-    @property
-    def dx(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
 
 def default_grid(params: MorseParams, n_points: int = 6000) -> np.ndarray:
     """Uniform grid covering every bound state down to ~1e-9 amplitude.
@@ -199,7 +196,6 @@ def build_eigenbasis(
             + np.log(s)
             + gammaln(n + 1.0)
             - gammaln(2.0 * lam - n)
-            - np.log(params.r0)
         )
         envelope = np.exp(log_norm - 0.5 * xi + 0.5 * s * log_xi)
         psi[n] = envelope * eval_genlaguerre(n, s, xi)
@@ -238,24 +234,23 @@ def position_matrix(basis: MorseEigenbasis) -> np.ndarray:
 
 
 def momentum_matrix(basis: MorseEigenbasis) -> np.ndarray:
-    """-i hbar d/dx in the bound basis.
+    """-i hbar d/dx in the bound basis, from the spectrum and x.
 
-    The derivative is a symmetric finite difference; the raw integral
-    matrix must already be antisymmetric to 1e-6 (its symmetric part is
-    a pure boundary/underresolution artifact), after which the exact
-    antisymmetrization makes the operator Hermitian.
+    Displacement x is in units of r0, so H = -hbar^2/(2 mu r0^2) d^2/dx^2
+    + V(x) and [H, x] = -hbar^2/(mu r0^2) d/dx = -i hbar p / (mu r0^2)
+    with p = -i hbar d/dx.  Between bound eigenstates
+    <m|[H, x]|n> = (E_m - E_n) x_mn, hence
+
+        p_mn = i mu r0^2 (E_m - E_n) x_mn / hbar,
+
+    exact given x: no derivative of the sampled states is taken.  x is
+    exactly symmetric, so p is Hermitian with a zero real part and a zero
+    diagonal.
     """
-    w = _trapezoid_weights(basis.grid)
-    dpsi = np.gradient(basis.psi, basis.dx, axis=1, edge_order=2)
-    raw = (basis.psi * w) @ dpsi.T
-    residue = float(np.max(np.abs(raw + raw.T)))
-    if residue > 1e-6:
-        raise GridResolutionError(
-            f"momentum matrix Hermiticity residue {residue:.3e} > 1e-6; "
-            "refine the grid"
-        )
-    anti = 0.5 * (raw - raw.T)
-    return -1j * basis.params.hbar * anti
+    params = basis.params
+    gaps = basis.energies[:, None] - basis.energies[None, :]
+    scale = params.mu * params.r0**2 / params.hbar
+    return 1j * (scale * gaps * position_matrix(basis))
 
 
 @dataclass(frozen=True)

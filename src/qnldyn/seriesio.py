@@ -14,6 +14,7 @@ import tempfile
 
 import numpy as np
 
+from .errors import OutputError
 from .series import TimeSeries
 
 _FLOAT_FMT = "%.17g"
@@ -26,17 +27,23 @@ _READ_CHUNK = 1 << 20
 
 
 def _atomic_write(path: str, *chunks) -> None:
-    """Write bytes-like chunks in order to a temp file, then rename it."""
+    """Write bytes-like chunks in order to a temp file, then rename it.
+
+    Any OS failure leaves no temp file and raises OutputError naming path.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

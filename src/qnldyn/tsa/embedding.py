@@ -22,7 +22,6 @@ class EmbeddedSeries:
     m: int
     delay: int
     dt: float
-    origin: dict
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -55,9 +54,7 @@ def delay_embed(series: TimeSeries, m: int, delay: int) -> EmbeddedSeries:
     if count < 2:
         raise ValueError("series too short for this embedding")
     cols = [values[i * delay : i * delay + count] for i in range(m)]
-    return EmbeddedSeries(
-        np.column_stack(cols), m, delay, series.dt, dict(series.origin)
-    )
+    return EmbeddedSeries(np.column_stack(cols), m, delay, series.dt)
 
 
 def autocorr_delay(series: TimeSeries, max_lag: int | None = None) -> int:

@@ -225,7 +225,6 @@ def lyapunov_scan(
     t_max: int | None = None,
     n_ref: int = 2000,
     max_neighbors: int = 64,
-    fit_window: tuple[int, int] | None = None,
 ) -> LyapunovScan:
     """Full estimation pipeline on a raw series.
 
@@ -257,7 +256,7 @@ def lyapunov_scan(
             except NeighborhoodError as exc:
                 failures.append(str(exc))
                 continue
-            curve = fitted(curve, fit_window)
+            curve = fitted(curve)
             curves.append(curve)
             results[m].append(curve.lambda_max)
         del tree  # freed before the next m builds, so one tree is alive at a time

@@ -27,7 +27,6 @@ class RecurrenceData:
     ii: np.ndarray  # i < j, lexicographically sorted
     jj: np.ndarray
     window_start: int = 0
-    origin: dict | None = None
 
     def __post_init__(self):
         ii = np.asarray(self.ii, dtype=np.int64)
@@ -86,17 +85,7 @@ def recurrence_plot(
     pairs = cKDTree(pts).query_pairs(epsilon, output_type="ndarray")
     n = stop - start
     ii, jj = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
-    meta = dict(emb.origin)
-    meta.update(
-        {
-            "epsilon": repr(epsilon),
-            "m": str(emb.m),
-            "delay": str(emb.delay),
-            "window_start": str(start),
-            "window_stop": str(stop),
-        }
-    )
-    return RecurrenceData(n, epsilon, ii, jj, start, meta)
+    return RecurrenceData(n, epsilon, ii, jj, start)
 
 
 def diagonal_profile(rec: RecurrenceData) -> np.ndarray:

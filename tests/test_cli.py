@@ -198,7 +198,7 @@ SECTION_DEFAULTS = {
     "kerr": {"kerr.chi": "1", "kerr.chi_prime_ratio": "0", "kerr.alpha_sq": "25",
              "kerr.ell": "1"},
     "morse": {"morse.preset": "default", "morse.alpha": "0.40000000000000002",
-              "morse.ell": "1", "morse.n_points": "6000"},
+              "morse.ell": "1"},
     "bjj": {"bjj.n_atoms": "40", "bjj.u": "50", "bjj.state": "even"},
 }
 
@@ -244,8 +244,7 @@ def test_morse_simulation_uses_cache(runner, tmp_path, monkeypatch):
         "dt = 0.01\n"
         "n_samples = 500\n"
         "morse.alpha = 0.4\n"
-        "morse.ell = 2\n"
-        "morse.n_points = 2000\n",
+        "morse.ell = 2\n",
         name="morse.cfg",
     )
     out = str(tmp_path / "morse.csv")
@@ -269,6 +268,32 @@ def test_non_finite_config_values_exit_one_naming_line_and_key(tmp_path, capsys,
     assert main(["simulate", cfg, "-o", str(tmp_path / "out.csv")]) == 1
     assert f"run.cfg:3: '{key}' must be finite; got '{value}'" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out.csv")
+
+
+def test_morse_grid_size_is_not_a_run_file_key(tmp_path, capsys):
+    """The grid serves x only, which 6000 points resolve for every preset."""
+    cfg = write_cfg(tmp_path, "system = morse\nn_samples = 100\nmorse.n_points = 6000\n")
+    assert main(["simulate", cfg, "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: unknown key 'morse.n_points'\n"
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{cfg}", "-o", "missing/series.csv"],
+    ["analyze", "f1", "{series}", "-o", "missing/series.f1.csv"],
+    ["repro", "fig3", "-d", "series.csv/out"],
+])
+def test_unwritable_output_exits_one_naming_the_requested_path(tmp_path, capsys,
+                                                               monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, KERR_CFG)
+    series = str(tmp_path / "series.csv")
+    write_series(series, TimeSeries(np.sin(np.arange(2000) / 7.0), 1.0))
+    before = sorted(os.listdir(tmp_path))
+    assert main([arg.format(cfg=cfg, series=series) for arg in argv]) == 1
+    reason = "Not a directory" if argv[0] == "repro" else "No such file or directory"
+    assert capsys.readouterr().err == f"error: cannot write {argv[-1]}: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("n_atoms", [0, 1, -3])

@@ -8,7 +8,10 @@ Independent oracles:
   - the quadratic spectrum itself: E_n - E_0 = omega n - a n^2 with
     omega = 2 a (lam - 1/2) and a = hbar beta^2 / (2 mu r0^2);
   - exact phase alignment at t = 4 pi for the default parameter set,
-    whose level number lam - 1/2 = 21 is an integer.
+    whose level number lam - 1/2 = 21 is an integer;
+  - for momentum, -i hbar d/dx taken on the sampled states by a
+    second-order finite difference, whose O(dx^2) error must shrink 4x per
+    grid doubling towards the spectral form.
 """
 
 import os
@@ -140,6 +143,57 @@ def test_position_matrix_symmetric(morse_basis):
 def test_momentum_matrix_hermitian(morse_basis):
     p = momentum_matrix(morse_basis)
     assert_allclose(p, p.conj().T, atol=1e-12)
+
+
+def grid_derivative_momentum(params, n_points):
+    """-i hbar <m|d/dx|n> by trapezoid quadrature of a central-difference
+    derivative, antisymmetrized: the grid form momentum_matrix replaced."""
+    basis = build_eigenbasis(params, default_grid(params, n_points))
+    w = _trapezoid_weights(basis.grid)
+    dpsi = np.gradient(basis.psi, basis.grid[1] - basis.grid[0], axis=1, edge_order=2)
+    raw = (basis.psi * w) @ dpsi.T
+    return -1j * params.hbar * 0.5 * (raw - raw.T)
+
+
+def _well(lam, beta, mu, r0=1.0, hbar=1.0):
+    """Parameters with level-number parameter lam."""
+    return MorseParams(D=(lam * beta * hbar / r0) ** 2 / (2.0 * mu), beta=beta, mu=mu,
+                       r0=r0, hbar=hbar)
+
+
+@pytest.mark.parametrize("params", [PRESET, _well(13.75, 1.0, 0.75, r0=2.0, hbar=1.5)],
+                         ids=["default", "scaled"])
+def test_grid_derivative_momentum_converges_to_spectral_form(params):
+    """The finite-difference p approaches i mu r0^2 (E_m - E_n) x_mn / hbar
+    at 4x per grid doubling over 3000, 6000 and 12000 points, which checks
+    the mu, r0 and hbar factors as well as the identity."""
+    exact = momentum_matrix(build_eigenbasis(params))
+    errors = [np.max(np.abs(grid_derivative_momentum(params, n) - exact))
+              for n in (3000, 6000, 12000)]
+    assert errors[-1] < 1e-2 * np.max(np.abs(exact))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    level=st.integers(2, 24),
+    quarter=st.integers(1, 3),
+    beta=st.floats(0.5, 2.0),
+    mu=st.floats(0.5, 2.0),
+    r0=st.floats(0.5, 2.0),
+    hbar=st.floats(0.5, 2.0),
+)
+def test_momentum_matrix_exactly_hermitian_for_generated_wells(level, quarter, beta, mu,
+                                                               r0, hbar):
+    """Wells with lam = level + 1/2 + quarter/4: p equals its conjugate
+    transpose bit for bit, its real part is exactly 0 and so is its diagonal."""
+    basis = build_eigenbasis(_well(level + 0.5 + quarter / 4.0, beta, mu, r0, hbar))
+    p = momentum_matrix(basis)
+    assert p.dtype == np.complex128
+    assert np.array_equal(p, p.conj().T)
+    assert np.all(p.real == 0.0)
+    assert np.all(np.diag(p) == 0.0)
 
 
 def test_perelomov_zero_displacement_is_top_level(morse_basis):

@@ -613,7 +613,7 @@ def test_curve_with_shared_tree_equals_oracle_on_random_clouds(
     n, m, epsilon, theiler, t_max, n_ref, max_neighbors, seed
 ):
     points = np.random.default_rng(seed).random((n, m))
-    emb = EmbeddedSeries(points, m, 1, 0.5, {})
+    emb = EmbeddedSeries(points, m, 1, 0.5)
     usable = n - t_max
     try:
         expected = _curve_per_radius_tree(emb, epsilon, theiler, t_max, n_ref, max_neighbors)
