@@ -134,9 +134,11 @@ def _lyap_step(series: TimeSeries, series_path: str, prefix: str, **scan_options
         write_lyapunov_curve(f"{prefix}.m{curve.m}.eps{curve.epsilon:g}.csv", curve,
                              metadata=meta)
     by_m = " ".join(f"m={m}:{lam:+.6g}" for m, lam in sorted(scan.lambda_by_m.items()))
+    clamped = [f"m={c.m}:eps={c.epsilon:g}" for c in scan.curves if c.fit_window_clamped]
     return [
         f"lambda_max={scan.lambda_max:+.6g} per unit time ({by_m})",
         f"spread={scan.spread:.6g} delay={scan.delay}",
+        f"fit_window_clamped={len(clamped)}/{len(scan.curves)} ({' '.join(clamped) or 'none'})",
         f"wrote {len(scan.curves)} curve files under {prefix}.*",
     ]
 

@@ -220,6 +220,7 @@ def write_lyapunov_curve(path: str, curve, metadata: dict | None = None) -> None
         meta["lambda_max"] = float(curve.lambda_max)
     if curve.fit_window is not None:
         meta["fit_window"] = f"{curve.fit_window[0]}:{curve.fit_window[1]}"
+        meta["fit_window_clamped"] = "true" if curve.fit_window_clamped else "false"
     if metadata:
         meta.update(metadata)
     lines = _header_lines(meta)

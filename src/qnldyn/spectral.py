@@ -8,22 +8,62 @@ population) is exactly zero adds exact zeros to every term, so it is
 dropped before the pass.  An ell-component superposition, which is zero
 off one residue class mod ell, therefore costs about 1/ell of its levels.
 The grid is worked in blocks of a fixed number of level-samples, which
-keeps memory flat however many samples are asked for.
+keeps memory flat however many samples are asked for.  All arithmetic in
+the pass is real.
 
-Each phase comes from one tangent of the half angle.  With x = E_n t and
-u = tan(x/2),
+Phases.  Each phase comes from one tangent of the half angle.  With
+x = E_n t, v = tan(x/2) and w = 2/(1 + v^2),
 
-    e^{-i x} = (1 - u^2)/(1 + u^2) - i 2u/(1 + u^2),
+    cos x = w - 1,    -sin x = -v w,
 
-so a block costs one vectorized tan where cos and sin cost two library
-calls.  The argument is the same double as in the direct e^{-i E_n t}
-path: halving is exact in binary floating point, so (E_n/2) t is bit for
-bit fl(E_n t)/2 unless it underflows to a subnormal, where the phase is 1
-to within 1e-307.  The pair differs from cos and -sin of that argument by
-about one rounding (at most 2.2e-16 absolute, measured over |x| <= 1e12
-with numpy's SIMD tan and with its scalar fallback).  It stays finite at
-odd multiples of pi, where u is large but never infinite, and x = 0 gives
-exactly 1.
+so a block costs one vectorized tan and one division where cos and sin
+cost two library calls.  The half angle u = (E_n/2) t is the same double
+as in the direct e^{-i E_n t} path: halving is exact in binary floating
+point, so u is bit for bit fl(E_n t)/2 unless it underflows to a
+subnormal, where the phase is 1 to within 1e-307.  x = 0 gives exactly 1.
+
+Reduction.  numpy's SIMD tan is fast only on moderate arguments (above
+about 1e5 rad it falls back to a path three to four times slower), and
+series at long times reach E_n t ~ 1e7 rad.  Since tan has period pi,
+u is first reduced by the two-constant method of Cody and Waite
+(Software Manual for the Elementary Functions, 1980):
+
+    k = rint(u / pi),    r = (u - k P1) - k P2,
+
+where P1 is pi rounded to 29 significant bits (its last two are zero,
+so it has 27) and P2 is the next 53 bits, the double nearest pi - P1.  For
+|k| <= 2^24 the product k P1 needs at most 27 + 24 bits and is exact, and
+u - k P1 is exact by Sterbenz's lemma, since u and k P1 lie within a
+factor of two of each other when k != 0.  What is left is the rounding of
+k P2 and of the last subtraction, at most 2^-53 (|k P2| + |r|) < 1.8e-16,
+and the tail |pi - P1 - P2| < 3.3e-26 times |k|, below 6e-19.  So r is
+u - k pi to within 1.8e-16, and the phase e^{-2iu} moves by at most twice
+that; measured over |x| <= 1e12, every phase is within 4.9e-16 of
+np.exp(-1j x).  The quotient u/pi carries a relative rounding of about
+1.5e-16, so |r| <= pi/2 + |k| 4.7e-16: within 1e-9 of pi/2 for
+|E_n t| <= 1e7 rad, and within 1e-8 at the limit.  A level whose
+|E_n/2| max|t| / pi reaches 2^24 takes k = 0 at every time, and np.tan
+does its own reduction for it.  The limit is a property of the input,
+not a setting.
+
+Contraction.  With z_n = e^{-i x_n} = C_n + i S_n and M = diag(c*) O
+diag(c), the expectation is z^H M z.  Split M = H + N into Hermitian and
+anti-Hermitian parts.  z^H H z is real and z^H N z is imaginary, so
+
+    <O>(t) = z^H H z = V^T K V,   V = [C; S],   K = [[A, -B], [B, A]],
+
+with H = A + iB: A real symmetric, B real antisymmetric, so K is real
+symmetric.  Expanding, V^T K V = C^T A C + S^T A S + S^T B C - C^T B S;
+the cross terms of the imaginary part, C^T A S - S^T A C and C^T B C +
+S^T B S, vanish by the same symmetries.  K is built once per series; a
+block is then one real product K V (sparse stays sparse) and one
+column-wise dot.  The survival amplitude sum_n p_n z_n is p C + i p S: two
+real products.
+
+Hermiticity.  Since |z_n| = 1, |z^H N z| <= sum |N_jk| = sum |M - M^H|/2
+at every t.  That bound is checked once, on the operator, against
+IMAG_TOL max(1, sum |M|): relative to the size of the terms, because an
+absolute gate falls below one rounding of <O> once <O> is large.
 """
 
 from __future__ import annotations
@@ -32,22 +72,30 @@ import numpy as np
 
 from .errors import NumericalContractError
 
-#: Complex entries per (levels, times) block: 1 MB per working array, so a
-#: block and its temporaries stay in a typical L2 cache.
+#: Level-samples per (levels, times) block: two real rows per level-sample,
+#: 1 MB per working array, so a block and its temporaries stay in a
+#: typical L2 cache.
 _BLOCK_ENTRIES = 1 << 16
 
-#: Largest imaginary part tolerated in the expectation of a Hermitian operator.
+#: Largest imaginary part tolerated in the expectation of a Hermitian
+#: operator, relative to max(1, sum |M|) (module docstring).
 IMAG_TOL = 1e-10
+
+#: pi rounded to 29 significant bits, and the double nearest pi minus it.
+_PI_1 = float.fromhex("0x1.921fb54p+1")
+_PI_2 = float.fromhex("0x1.10b4611a62633p-29")
+
+#: Largest reduction multiple |k| for which k * _PI_1 is exact.
+_K_LIMIT = 2.0**24
 
 
 def _phase_blocks(energies, times):
-    """Yield (time slice, e^{-i E_n t} block of shape (levels, slice)).
+    """Yield (time slice, real phase rows V of shape (2 levels, slice)).
 
-    Each block holds about _BLOCK_ENTRIES level-samples; no levels yield no
-    blocks.  A block is filled from u = tan(x/2), x = E_n t, as
-    (1 - u^2)/(1 + u^2) and -2u/(1 + u^2); x/2 is formed as (E_n/2) t,
-    which equals fl(E_n t)/2 exactly, so the phase argument is unchanged.
-    The phases go into one buffer that every block reuses, so a yielded
+    V[:L] holds cos(E_n t) and V[L:] holds -sin(E_n t), L = levels, built
+    from the reduced half-angle tangent (module docstring).  Each block
+    holds about _BLOCK_ENTRIES level-samples; no levels yield no blocks.
+    The rows live in one buffer that every block reuses, so a yielded
     block is valid only until the next one is asked for.
     """
     levels = energies.size
@@ -55,52 +103,82 @@ def _phase_blocks(energies, times):
         return
     step = max(1, _BLOCK_ENTRIES // levels)
     half = 0.5 * energies
-    arg = np.empty(levels * min(step, times.size))
-    denom = np.empty(arg.size)
-    buf = np.empty(arg.size, dtype=complex)
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    # Dividing by inf gives k = 0: such a level is handed to tan unreduced.
+    divisor = np.where(np.abs(half) * t_max < _K_LIMIT * np.pi, np.pi, np.inf)[:, None]
+    size = levels * min(step, times.size)
+    arg = np.empty(size)
+    mult = np.empty(size)
+    rows = np.empty(2 * size)
     for lo in range(0, times.size, step):
         blk = slice(lo, lo + step)
         n = levels * times[blk].size
         u = np.multiply.outer(half, times[blk], out=arg[:n].reshape(levels, -1))
-        phases = buf[:n].reshape(u.shape)
-        u2 = denom[:n].reshape(u.shape)
-        np.tan(u, out=u)
-        np.multiply(u, u, out=u2)
-        np.subtract(1.0, u2, out=phases.real)
-        u2 += 1.0
-        np.divide(phases.real, u2, out=phases.real)
-        u *= -2.0
-        np.divide(u, u2, out=phases.imag)
-        yield blk, phases
+        k = mult[:n].reshape(u.shape)
+        block = rows[: 2 * n].reshape(2 * levels, -1)
+        cos, sin = block[:levels], block[levels:]
+        np.divide(u, divisor, out=k)
+        np.rint(k, out=k)
+        np.multiply(k, _PI_1, out=sin)
+        u -= sin
+        k *= _PI_2
+        u -= k
+        v = np.tan(u, out=u)
+        np.multiply(v, v, out=k)
+        k += 1.0
+        w = np.divide(-2.0, k, out=k)  # -w
+        np.subtract(-1.0, w, out=cos)
+        np.multiply(v, w, out=sin)
+        yield blk, block
+
+
+def _real_form(op, coeffs):
+    """(K, anti-Hermitian bound, sum |M|) for M = diag(c*) op diag(c).
+
+    K = [[A, -B], [B, A]] from the Hermitian part A + iB of M, stored as
+    op is: a scipy.sparse operator gives a CSR K, anything else a dense one.
+    """
+    is_sparse = hasattr(op, "tocsr")
+    if is_sparse:
+        from scipy import sparse  # the caller's operator already loaded it
+
+        c = sparse.diags_array(coeffs)
+        m = (c.conj() @ op @ c).tocsr()
+    else:
+        m = np.conj(coeffs)[:, None] * np.asarray(op) * coeffs
+    adjoint = m.conj().T
+    bound = 0.5 * float(abs(m - adjoint).sum())
+    herm = 0.5 * (m + adjoint)
+    grid = [[herm.real, -herm.imag], [herm.imag, herm.real]]
+    form = sparse.block_array(grid, format="csr") if is_sparse else np.block(grid)
+    return form, bound, float(abs(m).sum())
 
 
 def expectation_series(energies, coeffs, op, times) -> np.ndarray:
     """<psi(t)|op|psi(t)> at each time, psi(t) = sum_n c_n e^{-i E_n t} |n>.
 
-    op acts on the eigenbasis through `@` on a (levels, times) block, so a
-    dense array and a scipy.sparse matrix both work.  op must be Hermitian:
-    an imaginary residue above IMAG_TOL raises NumericalContractError.
+    op acts on the eigenbasis through `@`, so a dense array and a
+    scipy.sparse matrix both work.  op must be Hermitian: when the bound
+    sum |M - M^H|/2 on the imaginary residue exceeds IMAG_TOL max(1,
+    sum |M|), M = diag(c*) op diag(c), NumericalContractError is raised.
     Levels with c_n == 0 are dropped first; all-zero coeffs give zeros.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     keep = np.flatnonzero(coeffs)
     energies = np.asarray(energies, dtype=float)[keep]
-    coeffs = coeffs[keep, None]
-    op = op[keep][:, keep]
     times = np.asarray(times, dtype=float)
     vals = np.zeros(times.size)
-    worst_imag = 0.0
-    for blk, block in _phase_blocks(energies, times):
-        np.multiply(coeffs, block, out=block)
-        expect = op @ block
-        np.multiply(np.conj(block, out=block), expect, out=expect)
-        expect = np.sum(expect, axis=0)
-        worst_imag = max(worst_imag, float(np.max(np.abs(expect.imag))))
-        vals[blk] = expect.real
-    if worst_imag > IMAG_TOL:
+    if keep.size == 0:
+        return vals
+    form, bound, size = _real_form(op[keep][:, keep], coeffs[keep])
+    if bound > IMAG_TOL * max(1.0, size):
         raise NumericalContractError(
-            f"expectation series has imaginary residue {worst_imag:.3e} > {IMAG_TOL:g}"
+            f"expectation series has imaginary residue up to {bound:.3e} "
+            f"> {IMAG_TOL:g} x max(1, sum|M|), sum|M| = {size:.3e}"
         )
+    for blk, block in _phase_blocks(energies, times):
+        image = form @ block
+        vals[blk] = np.einsum("ij,ij->j", block, image)
     return vals
 
 
@@ -114,8 +192,10 @@ def survival_amplitude(energies, populations, times) -> np.ndarray:
     keep = np.flatnonzero(populations)
     energies = np.asarray(energies, dtype=float)[keep]
     populations = populations[keep]
+    levels = keep.size
     times = np.asarray(times, dtype=float)
     out = np.zeros(times.size, dtype=complex)
     for blk, block in _phase_blocks(energies, times):
-        out[blk] = populations @ block
+        out.real[blk] = populations @ block[:levels]
+        out.imag[blk] = populations @ block[levels:]
     return out

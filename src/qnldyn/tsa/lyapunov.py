@@ -56,6 +56,9 @@ class LyapunovCurve:
     n_references: int  # references that kept a neighbor, i.e. contributed
     lambda_max: float | None = None
     fit_window: tuple[int, int] | None = None
+    # True when auto_fit_window raised the window's end to its 4-point floor:
+    # the rise was shorter than that, so the slope is a knee, not a stretch.
+    fit_window_clamped: bool | None = None
 
     def __post_init__(self):
         t = np.asarray(self.t_offsets, dtype=np.int64)
@@ -175,12 +178,18 @@ def auto_fit_window(curve: LyapunovCurve, rise_frac: float = 0.75) -> tuple[int,
 
     Starts after offset zero (whose average reflects the radius, not the
     dynamics) and ends where the curve has covered rise_frac of the way
-    to its saturation level, estimated from the final quarter.
+    to its saturation level, estimated from the final quarter.  The window
+    covers at least 4 points.
     """
+    return _rise_window(curve, rise_frac)[0]
+
+
+def _rise_window(curve: LyapunovCurve, rise_frac: float = 0.75):
+    """(auto_fit_window's window, whether its end was raised to lo + 4)."""
     t = curve.t_offsets
     s = curve.s_values
     if t.size < 6:
-        return (0, t.size)
+        return (0, t.size), False
     lo = 1 if t[0] == 0 else 0
     tail = s[-max(4, s.size // 3):]
     level = float(np.median(tail))
@@ -190,19 +199,25 @@ def auto_fit_window(curve: LyapunovCurve, rise_frac: float = 0.75) -> tuple[int,
     # a flank of the wobble would fake an exponent.  Demand a rise that
     # clears the tail's own peak-to-peak band before trusting one.
     if rise <= float(tail.max() - tail.min()) or rise <= 0.0:
-        return (lo, s.size)
+        return (lo, s.size), False
     target = base + rise_frac * rise
     above = np.nonzero(s[lo:] >= target)[0]
     hi = lo + int(above[0]) + 1 if above.size else s.size
-    hi = min(max(hi, lo + 4), s.size)
-    return (lo, hi)
+    clamped = hi < lo + 4
+    return (lo, min(max(hi, lo + 4), s.size)), clamped
 
 
 def fitted(curve: LyapunovCurve, window: tuple[int, int] | None = None) -> LyapunovCurve:
-    """Attach a slope estimate (and the window used) to the curve."""
+    """Attach a slope estimate (and the window used) to the curve.
+
+    An automatic window records whether it was clamped to its floor; a
+    given window never is.
+    """
+    clamped = False
     if window is None:
-        window = auto_fit_window(curve)
-    return replace(curve, lambda_max=fit_slope(curve, window), fit_window=window)
+        window, clamped = _rise_window(curve)
+    return replace(curve, lambda_max=fit_slope(curve, window), fit_window=window,
+                   fit_window_clamped=clamped)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from click.testing import CliRunner
 import qnldyn
 import qnldyn.cli as cli_module
 from qnldyn.cli import cli, main
+from qnldyn.fock import apply_quadrature, coherent_state
+from qnldyn.kerr import KerrParams, level_phases
 from qnldyn.seriesio import read_series, write_series
 from qnldyn.series import TimeSeries
 from qnldyn.tsa.synthetic import logistic_series
@@ -95,6 +97,23 @@ def test_bjj_simulation_and_full_analysis_chain(runner, tmp_path):
     assert os.path.exists(out + ".lyap.m3.eps0.02.csv")
 
 
+def test_analyze_lyap_reports_clamped_fit_windows(runner, tmp_path):
+    """On the logistic map both radii fit over (1, 5); only at eps = 0.1 is
+    that the 4-point floor standing in for a shorter rise, and the header
+    and the printed summary say so."""
+    path = str(tmp_path / "logistic.csv")
+    write_series(path, logistic_series(3000))
+    result = runner.invoke(cli, ["analyze", "lyap", path, "--t-max", "30", "--m", "2",
+                                 "--m", "3", "--epsilon", "0.05", "--epsilon", "0.1"])
+    assert result.exit_code == 0, result.output
+    assert "fit_window_clamped=2/4 (m=2:eps=0.1 m=3:eps=0.1)" in result.output.splitlines()
+    for m in (2, 3):
+        for eps, clamped in (("0.05", "false"), ("0.1", "true")):
+            header = (tmp_path / f"logistic.csv.lyap.m{m}.eps{eps}.csv").read_text()
+            assert "# fit_window=1:5\n" in header
+            assert f"# fit_window_clamped={clamped}\n" in header
+
+
 def test_analyze_rp_raw_scalar_mode(runner, tmp_path):
     path = str(tmp_path / "sine.csv")
     write_series(path, TimeSeries(np.sin(np.arange(2000) / 7.0), 1.0))
@@ -120,6 +139,35 @@ def test_exit_code_two_for_numerical_contract_violation(tmp_path):
     write_series(path, TimeSeries(rng.random(2000), 1.0))
     code = main(["analyze", "lyap", path, "--epsilon", "1e-12", "--m", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("axis", ["x", "p"])
+def test_quartic_moment_at_large_occupation_is_not_rejected(tmp_path, axis):
+    """<x^4> ~ 2.5e7 at |alpha|^2 = 2500: one rounding of it is 3.7e-9, so an
+    absolute 1e-10 gate on the imaginary part used to reject a valid run."""
+    cfg = write_cfg(tmp_path, f"system = kerr\nobservable = {axis}^4\nkerr.alpha_sq = 2500\n"
+                              "n_samples = 200\ndt = 0.008\n")
+    out = str(tmp_path / "quartic.csv")
+    assert main(["simulate", cfg, "-o", out]) == 0
+    series = read_series(out)
+
+    state = coherent_state(50.0)
+    padded = np.concatenate([state.amplitudes, np.zeros(4)])
+    # sum_jk |c_j| |x^4_jk| |c_k|: sum |M| for x^4, and an upper bound on it
+    # for p^4, whose entries have the same moduli before cancellation.
+    size = np.abs(padded)
+    for _ in range(4):
+        size = apply_quadrature(size, "x")
+    size = float(np.abs(padded) @ size)
+    theta = level_phases(KerrParams(chi=1.0), padded.size - 1)
+    times = float(series.origin["t_start"]) + series.dt * np.arange(len(series))
+    for k, t in enumerate(times):
+        evolved = padded * np.exp(-1j * theta * t)
+        moment = evolved
+        for _ in range(4):
+            moment = apply_quadrature(moment, axis)
+        direct = np.vdot(evolved, moment).real
+        assert abs(series.values[k] - direct) <= 1e-9 * size
 
 
 def test_exit_code_zero_on_success(tmp_path):
@@ -360,6 +408,21 @@ def test_kerr_simulate_loads_no_k_d_tree_or_linear_algebra(tmp_path):
     assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.fock", "qnldyn.kerr",
                                                       "qnldyn.spectral"}
     assert not within(modules, "scipy.spatial", "scipy.linalg")
+
+
+@pytest.mark.parametrize("module", ["qnldyn.bjj", "qnldyn.morse"])
+def test_dense_operator_systems_load_no_sparse_matrices(tmp_path, module):
+    """Only kerr's banded operator is sparse, so the shared kernel leaves
+    `scipy.sparse` to the caller that hands it a sparse matrix."""
+    assert not within(loaded_after(f"import {module}", tmp_path), "scipy.sparse")
+
+
+def test_bjj_simulate_loads_no_sparse_matrices(tmp_path):
+    cfg = write_cfg(tmp_path, BJJ_CFG.replace("n_samples = 3000", "n_samples = 200"))
+    modules = run_in_fresh_interpreter(["simulate", cfg, "-o", str(tmp_path / "b.csv")],
+                                       tmp_path)
+    assert "qnldyn.spectral" in modules
+    assert not within(modules, "scipy.sparse")
 
 
 def test_analyze_lyap_loads_only_the_lyapunov_module(tmp_path):

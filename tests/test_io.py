@@ -439,6 +439,7 @@ def test_lyapunov_curve_file(tmp_path):
     assert float(header["epsilon"]) == 0.02
     assert float(header["lambda_max"]) == curve.lambda_max
     assert header["fit_window"] == f"{curve.fit_window[0]}:{curve.fit_window[1]}"
+    assert header["fit_window_clamped"] == str(curve.fit_window_clamped).lower()
     data = np.array(rows)
     assert_allclose(data[:, 0], curve.t_offsets * curve.dt, atol=0.0)
     assert_allclose(data[:, 1], curve.s_values, atol=0.0)

@@ -11,7 +11,11 @@ Oracles:
   - a level with zero weight contributes nothing, so the energy it is
     given (NaN included) cannot change the series;
   - every phase the kernel generates is np.exp(-1j * E t) to 1e-15, for
-    |E t| up to 1e12, at E t = 0 and at odd multiples of pi.
+    |E t| up to 1e12, at E t = 0, at odd multiples of pi, and on levels
+    either side of the reduction limit;
+  - every tan argument of a level under the reduction limit lies within
+    pi/2 (plus the quotient's rounding), and a level at or over it is
+    handed to tan as (E/2) t itself.
 """
 
 from unittest import mock
@@ -152,12 +156,18 @@ def test_empty_levels_are_never_phased():
     )
     survival = spectral.survival_amplitude(energies, np.abs(coeffs) ** 2, times)
     occupied = [0, 2, 4]
+    kept_op = op[np.ix_(occupied, occupied)]
     kept = spectral.expectation_series(
-        energies[occupied], coeffs[occupied], op[np.ix_(occupied, occupied)], times
+        energies[occupied], coeffs[occupied], kept_op, times
+    )
+    kept_sparse = spectral.expectation_series(
+        energies[occupied], coeffs[occupied], sparse.csr_array(kept_op), times
     )
     assert np.all(np.isfinite(via_dense)) and np.all(np.isfinite(survival))
     assert np.array_equal(via_dense, kept)
-    assert np.array_equal(via_sparse, kept)
+    assert np.array_equal(via_sparse, kept_sparse)
+    # Dense and CSR products sum in different orders.
+    assert_allclose(via_sparse, via_dense, rtol=0.0, atol=1e-15)
     assert_allclose(survival[0], 1.0, rtol=1e-15)
 
 
@@ -261,10 +271,11 @@ def test_survival_at_zero_is_total_population(energies, data):
 
 
 def kernel_phases(energies, times):
-    """Every block _phase_blocks yields, copied into one (levels, times) grid."""
-    grid = np.empty((energies.size, times.size), dtype=complex)
+    """Every block _phase_blocks yields, as cos + i(-sin), in one (levels, times) grid."""
+    levels = energies.size
+    grid = np.empty((levels, times.size), dtype=complex)
     for blk, block in spectral._phase_blocks(energies, times):
-        grid[:, blk] = block
+        grid[:, blk] = block[:levels] + 1j * block[levels:]
     return grid
 
 
@@ -292,3 +303,63 @@ def test_phases_finite_at_and_next_to_odd_multiples_of_pi(k):
     got = kernel_phases(energies, times)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - np.exp(-1j * np.multiply.outer(energies, times)))) <= 1e-15
+
+
+def tan_arguments(energies, times):
+    """The (levels, times) grid of arguments _phase_blocks hands to np.tan."""
+    seen = []
+    real_tan = np.tan
+
+    def recording_tan(x, out=None):
+        seen.append(x.copy())
+        return real_tan(x, out=out)
+
+    with mock.patch.object(np, "tan", recording_tan):
+        for _ in spectral._phase_blocks(energies, times):
+            pass
+    return np.concatenate(seen, axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(float, st.integers(1, 12), elements=st.floats(-1e4, 1e4)),
+    arrays(float, st.integers(1, 60), elements=st.floats(-1e3, 1e3)),
+    st.integers(1, 64),
+)
+def test_reduced_phases_match_exp_up_to_1e7_rad(energies, times, block_entries):
+    """|E t| <= 1e7 keeps every level under the limit, so every phase is reduced."""
+    times = np.append(times, 0.0)
+    x = np.multiply.outer(energies, times)
+    with mock.patch.object(spectral, "_BLOCK_ENTRIES", block_entries):
+        got = kernel_phases(energies, times)
+        args = tan_arguments(energies, times)
+    assert np.max(np.abs(got - np.exp(-1j * x))) <= 1e-15
+    assert np.all(got[x == 0] == 1 + 0j)
+    # |k| <= 1.6e6 here, so the quotient's rounding adds under 7.5e-10.
+    assert np.max(np.abs(args)) <= np.pi / 2 + 1e-9
+
+
+#: The reduction limit on |E/2| max|t| / pi: k * P1 is exact up to here.
+REDUCTION_LIMIT = 2.0**24
+
+#: Levels at |E/2| max|t| / pi = REDUCTION_LIMIT * (these factors), times up to 1.
+LIMIT_FACTORS = (1.0 - 2.0**-20, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 1.5, 2.0 - 2.0**-20,
+                 2.0, 4.0 - 2.0**-20)
+
+
+def test_phases_either_side_of_the_reduction_limit():
+    factors = np.array(LIMIT_FACTORS)
+    energies = 2.0 * np.pi * REDUCTION_LIMIT * factors
+    energies = np.concatenate([energies, -energies])
+    # Dense times near max|t| = 1 give many large, odd and even k.
+    times = np.concatenate([np.linspace(0.5, 1.0, 3001), -np.linspace(0.0, 0.25, 40)])
+    x = np.multiply.outer(energies, times)
+    got = kernel_phases(energies, times)
+    assert np.max(np.abs(got - np.exp(-1j * x))) <= 1e-15
+
+    args = tan_arguments(energies, times)
+    reduced = np.abs(0.5 * energies) < REDUCTION_LIMIT * np.pi  # max|t| is 1
+    assert reduced.sum() == 4
+    # |k| <= 2^24: the quotient's rounding adds at most 2^24 * 4.7e-16 < 1e-8.
+    assert np.max(np.abs(args[reduced])) <= np.pi / 2 + 1e-8
+    assert np.array_equal(args[~reduced], np.multiply.outer(0.5 * energies, times)[~reduced])

@@ -418,7 +418,22 @@ def test_fitted_attaches_window_and_slope():
     curve = LyapunovCurve(t, 0.3 * t - 9.0, 0.05, 3, 1, 6, 1.0, 50)
     out = fitted(curve, (0, 50))
     assert out.fit_window == (0, 50)
+    assert out.fit_window_clamped is False
     assert abs(out.lambda_max - 0.3) < 1e-12
+
+
+@pytest.mark.parametrize("rise_samples, clamped", [(2, True), (3, True), (4, False), (20, False)])
+def test_fitted_flags_a_window_clamped_to_its_floor(rise_samples, clamped):
+    """A rise shorter than 4 points is fitted over (1, 5) all the same; the
+    flag is what tells that knee apart from a real linear stretch."""
+    t = np.arange(120)
+    s = np.minimum(t / rise_samples, 1.0) * 3.0 - 5.0
+    curve = LyapunovCurve(t, s, 0.05, 3, 1, 6, 1.0, 50)
+    out = fitted(curve)
+    assert out.fit_window == auto_fit_window(curve)
+    assert out.fit_window_clamped is clamped
+    if clamped:
+        assert out.fit_window == (1, 5)
 
 
 def test_logistic_map_exponent_close_to_ln2():
