@@ -15,9 +15,8 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.special import gammaln
 
-from .errors import NormalizationError
 from .series import SamplingPlan, TimeSeries
-from .spectral import expectation_series
+from .spectral import check_normalized, sample
 
 
 def _check_n_atoms(n_atoms: int) -> None:
@@ -185,8 +184,7 @@ def evolve_bjj(state: SpinState, ops: BJJOperatorSet, t: float) -> SpinState:
     """Evolve through the cached eigendecomposition."""
     if state.dim != ops.params.dim:
         raise ValueError("state dimension does not match the operator set")
-    if abs(state.norm() ** 2 - 1.0) > 1e-10:
-        raise NormalizationError("evolve_bjj requires a normalized state")
+    check_normalized(state.amplitudes, "evolve_bjj")
     energies, vectors = ops.eigensystem()
     modes = vectors.conj().T @ state.amplitudes
     return SpinState(vectors @ (modes * np.exp(-1j * energies * t)))
@@ -205,22 +203,16 @@ def bloch_series(
     """
     if state.dim != ops.params.dim:
         raise ValueError("state dimension does not match the operator set")
-    if abs(state.norm() ** 2 - 1.0) > 1e-10:
-        raise NormalizationError("bloch_series requires a normalized state")
     params = ops.params
     energies, vectors = ops.eigensystem()
     op_eig = vectors.conj().T @ ops.operator(observable) @ vectors
     modes = vectors.conj().T @ state.amplitudes
-    vals = expectation_series(energies, modes, op_eig, plan.times())
+    vals = sample(energies, modes, op_eig, plan.times())
     vals *= 2.0 / params.n_atoms
-    meta = {
-        "system": "bjj",
-        "observable": observable,
+    model = {
         "n_atoms": str(params.n_atoms),
         "J": repr(params.J),
         "U": repr(params.U),
         "u": repr(params.u),
-        "t_start": repr(plan.t_start),
-        "n_samples": str(plan.n_samples),
     }
-    return TimeSeries(vals, plan.dt, meta)
+    return plan.series(vals, "bjj", observable, model)

@@ -65,20 +65,8 @@ def _morse_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
     basis = morse.cached_eigenbasis(
         morse.MORSE_PRESETS[p["preset"]], cache_dir=os.environ.get(CACHE_ENV)
     )
-    n_prime = p.get("n_prime", basis.n_states - 1)
-    if p["ell"] == 1:
-        state = morse.perelomov_state(p["alpha"], basis, n_prime=n_prime)
-    else:
-        state = morse.superpose_morse(p["alpha"], p["ell"], basis, n_prime=n_prime)
-    obs = cfg.observable.lower()
-    if obs in ("x", "p"):
-        return morse.morse_moments_series(state, plan, obs)
-    if obs in ("autocorrelation", "survival"):
-        amps = morse.morse_autocorrelation(state, plan.times())
-        return TimeSeries(np.abs(amps) ** 2, plan.dt, origin={"observable": obs})
-    raise ConfigError(
-        f"morse observable must be x, p, autocorrelation, or survival; got {obs!r}"
-    )
+    state = morse.superpose_morse(p["alpha"], p["ell"], basis, n_prime=p.get("n_prime"))
+    return morse.morse_moments_series(state, plan, cfg.observable.lower())
 
 
 def _bjj_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
@@ -200,8 +188,7 @@ def rp(series_path, epsilon, m, delay, window_start, window_size, raw_scalar, ou
     write_recurrence_pairs(prefix + ".pairs.csv", rec,
                            metadata={"source": os.path.basename(series_path)})
     write_recurrence_bitmap(prefix + ".pbm", rec)
-    lengths = recurrence.diagonal_line_lengths(rec)
-    mean_len = float(lengths.mean()) if lengths.size else 0.0
+    mean_len = recurrence.mean_diagonal_length(rec)
     peaks = recurrence.dominant_peak_count(recurrence.diagonal_spacings(rec))
     click.echo(
         f"pairs={rec.n_pairs} rate={rec.recurrence_rate():.4f} "

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import NormalizationError, NumericalContractError, TruncationError
+from .errors import NumericalContractError, TruncationError
+from .spectral import IMAG_TOL, check_normalized
 
 SQRT2 = np.sqrt(2.0)
 
 #: Poisson weight allowed above the cutoff when a state is constructed.
 TAIL_BOUND = 1e-12
-
-#: Tolerance on |<psi|psi> - 1| for a vector that claims to be normalized.
-NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,8 @@ def poisson_tail(cutoff: int, mean: float) -> float:
     return float(gammainc(cutoff + 1.0, mean))
 
 
-def choose_cutoff(alpha: complex, tail_bound: float = TAIL_BOUND) -> int:
-    """Smallest cutoff with Poisson tail below tail_bound, plus 1.5x headroom.
+def choose_cutoff(alpha: complex) -> int:
+    """Smallest cutoff with Poisson tail below TAIL_BOUND, plus 1.5x headroom.
 
     The headroom keeps ring superpositions (whose support lives on a
     sublattice of the number axis) and repeated quadrature applications
@@ -85,7 +83,7 @@ def choose_cutoff(alpha: complex, tail_bound: float = TAIL_BOUND) -> int:
     span = int(np.ceil(20.0 * np.sqrt(mean) + 40.0))
     candidates = np.arange(lo, lo + span)
     tails = gammainc(candidates + 1.0, mean)
-    hit = np.nonzero(tails < tail_bound)[0]
+    hit = np.nonzero(tails < TAIL_BOUND)[0]
     if hit.size == 0:  # pragma: no cover - span is generous
         raise TruncationError(f"no admissible cutoff below {lo + span}")
     n0 = int(candidates[hit[0]])
@@ -161,10 +159,6 @@ def norm(a: FockVector) -> float:
     return float(np.linalg.norm(a.amplitudes))
 
 
-def is_normalized(a: FockVector, tol: float = NORM_TOL) -> bool:
-    return abs(np.vdot(a.amplitudes, a.amplitudes).real - 1.0) <= tol
-
-
 def apply_quadrature(amps: np.ndarray, axis: str) -> np.ndarray:
     """Apply x = (a + a^dag)/sqrt(2) or p = (a - a^dag)/(i sqrt(2)) to a vector.
 
@@ -189,14 +183,12 @@ def quadrature_moment(state: FockVector, axis: str, order: int) -> float:
     The ladder is padded by `order` extra levels before the operator chain
     is applied, so the only truncation concern is weight already sitting
     at the top of the input vector; more than 1e-10 of it within `order`
-    levels of the cutoff is rejected.
+    levels of the cutoff is rejected.  Like the spectral kernel, the gate on
+    the imaginary part is relative, to max(1, sum |c_n (O psi)_n|).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if not is_normalized(state):
-        raise NormalizationError(
-            f"state norm^2 deviates from 1 by more than {NORM_TOL:g}"
-        )
+    check_normalized(state.amplitudes, "quadrature_moment")
     amps = state.amplitudes
     top_weight = float(np.sum(np.abs(amps[-order:]) ** 2))
     if top_weight > 1e-10:
@@ -209,8 +201,9 @@ def quadrature_moment(state: FockVector, axis: str, order: int) -> float:
     for _ in range(order):
         work = apply_quadrature(work, axis)
     value = np.vdot(padded, work)
-    if abs(value.imag) > 1e-10:
+    size = float(np.abs(padded) @ np.abs(work))
+    if abs(value.imag) > IMAG_TOL * max(1.0, size):
         raise NumericalContractError(
-            f"moment has imaginary residue {value.imag:.3e} > 1e-10"
+            f"moment has imaginary residue {value.imag:.3e} > {IMAG_TOL:g} x max(1, {size:.3e})"
         )
     return float(value.real)

@@ -13,10 +13,10 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln
 
-from .errors import NormalizationError, TruncationError
-from .fock import SQRT2, FockVector, choose_cutoff, is_normalized
+from .errors import TruncationError
+from .fock import SQRT2, FockVector, choose_cutoff
 from .series import SamplingPlan, TimeSeries
-from .spectral import expectation_series, survival_amplitude
+from .spectral import check_normalized, sample
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ def level_phases(params: KerrParams, cutoff: int) -> np.ndarray:
 
 def evolve_kerr(state: FockVector, params: KerrParams, t: float) -> FockVector:
     """Evolve a normalized state by time t under the Kerr Hamiltonian."""
-    if not is_normalized(state):
-        raise NormalizationError("evolve_kerr requires a normalized state")
+    check_normalized(state.amplitudes, "evolve_kerr")
     theta = level_phases(params, state.cutoff)
     return FockVector(state.amplitudes * np.exp(-1j * theta * t))
 
@@ -109,43 +108,31 @@ def kerr_series(
 ) -> TimeSeries:
     """Sample <x^k>, <p^k>, or the survival probability along a time grid.
 
-    Fidelity needs only the level populations: |sum_n |C_n|^2 e^{-i theta_n t}|^2.
+    Fidelity is the survival probability |sum_n |C_n|^2 e^{-i theta_n t}|^2.
     Moments contract the evolved amplitudes with x^k or p^k, built once as
     a banded sparse matrix on the number basis padded by k levels.
     """
-    if not is_normalized(state):
-        raise NormalizationError("kerr_series requires a normalized state")
     kind, order = parse_observable(observable)
-    times = plan.times()
-    meta = {
-        "system": "kerr",
-        "observable": observable,
+    amps, op = state.amplitudes, None
+    if kind != "fidelity":
+        top_weight = float(np.sum(np.abs(amps[-order:]) ** 2))
+        if top_weight > 1e-10:
+            raise TruncationError(
+                f"top {order} levels carry weight {top_weight:.3e} > 1e-10"
+            )
+        amps = np.concatenate([amps, np.zeros(order, dtype=complex)])
+        root = np.sqrt(np.arange(1, amps.size)) / SQRT2
+        # x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2); a sits above the diagonal
+        bands = [root, root] if kind == "x" else [-1j * root, 1j * root]
+        quad = sparse.diags_array(bands, offsets=[1, -1], dtype=complex)
+        op = quad
+        for _ in range(order - 1):
+            op = op @ quad
+        op = sparse.csr_array(op)
+    theta = level_phases(params, amps.size - 1)
+    model = {
         "chi": repr(params.chi),
         "chi_prime": repr(params.chi_prime),
         "cutoff": str(state.cutoff),
-        "t_start": repr(plan.t_start),
-        "n_samples": str(plan.n_samples),
     }
-
-    if kind == "fidelity":
-        populations = np.abs(state.amplitudes) ** 2
-        theta = level_phases(params, state.cutoff)
-        amp = survival_amplitude(theta, populations, times)
-        return TimeSeries(np.abs(amp) ** 2, plan.dt, meta)
-
-    top_weight = float(np.sum(np.abs(state.amplitudes[-order:]) ** 2))
-    if top_weight > 1e-10:
-        raise TruncationError(
-            f"top {order} levels carry weight {top_weight:.3e} > 1e-10"
-        )
-    padded = np.concatenate([state.amplitudes, np.zeros(order, dtype=complex)])
-    root = np.sqrt(np.arange(1, padded.size)) / SQRT2
-    # x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2); a sits above the diagonal
-    bands = [root, root] if kind == "x" else [-1j * root, 1j * root]
-    quad = sparse.diags_array(bands, offsets=[1, -1], dtype=complex)
-    op = quad
-    for _ in range(order - 1):
-        op = op @ quad
-    theta = level_phases(params, padded.size - 1)
-    vals = expectation_series(theta, padded, sparse.csr_array(op), times)
-    return TimeSeries(vals, plan.dt, meta)
+    return plan.series(sample(theta, amps, op, plan.times()), "kerr", observable, model)

@@ -10,6 +10,7 @@ eigenphases, so revival checks at long times carry no integrator error.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 from dataclasses import dataclass
@@ -19,9 +20,9 @@ from warnings import warn
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .errors import GridResolutionError, NormalizationError, TruncationError
+from .errors import GridResolutionError, TruncationError
 from .series import SamplingPlan, TimeSeries
-from .spectral import expectation_series, survival_amplitude
+from .spectral import check_normalized, sample, survival_amplitude
 
 CACHE_FORMAT_VERSION = 1
 
@@ -151,7 +152,12 @@ class MorseEigenbasis:
         return self.energies.size
 
 
-def default_grid(params: MorseParams, n_points: int = 6000) -> np.ndarray:
+#: Points of the default grid: the preset's overlaps then meet the identity
+#: to 2e-14, far inside `build_eigenbasis`'s 1e-6 gate.  Part of the cache key.
+GRID_POINTS = 6000
+
+
+def default_grid(params: MorseParams, n_points: int = GRID_POINTS) -> np.ndarray:
     """Uniform grid covering every bound state down to ~1e-9 amplitude.
 
     The inner wall is steep (xi grows like e^{-beta x}), so a fixed
@@ -308,15 +314,10 @@ def perelomov_state(
     Coefficients are (-alpha)^{n'-n}/(n'-n)! times the square root of
     n'! Gamma(2 lam - n) / (n! Gamma(2 lam - n')), assembled in log space
     and normalized numerically.  alpha = 0 reduces to the bare n' state;
-    by default n' is the highest bound level.
+    by default n' is the highest bound level.  This is `superpose_morse`
+    at ell = 1, which masks nothing.
     """
-    params = basis.params
-    if n_prime is None:
-        n_prime = params.n_max
-    if not 0 <= n_prime <= params.n_max:
-        raise ValueError("n_prime outside the bound spectrum")
-    d = _annihilation_weights(alpha, params, n_prime)
-    return MorseState(d / np.linalg.norm(d), basis)
+    return superpose_morse(alpha, 1, basis, n_prime)
 
 
 def superpose_morse(
@@ -329,14 +330,17 @@ def superpose_morse(
 
     Rotating alpha by the ell-th roots of unity and summing keeps only
     coefficients with n = n' (mod ell); the surviving entries equal the
-    single-packet ones, so the state is built by exact masking.  The
-    two-component (even) case requires an even n'.
+    single-packet ones, so the state is built by exact masking, which
+    always keeps n = n'.  n' must be a bound level, and the two-component
+    (even) case requires an even n'.
     """
     params = basis.params
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if n_prime is None:
         n_prime = params.n_max
+    if not 0 <= n_prime <= params.n_max:
+        raise ValueError("n_prime outside the bound spectrum")
     if ell == 2 and n_prime % 2 != 0:
         raise ValueError(
             f"even superposition needs an even top level, got n' = {n_prime}"
@@ -344,16 +348,12 @@ def superpose_morse(
     d = _annihilation_weights(alpha, params, n_prime)
     n = np.arange(params.n_max + 1)
     d[(n_prime - n) % ell != 0] = 0.0
-    nrm = np.linalg.norm(d)
-    if nrm == 0.0:
-        raise TruncationError("superposition has no support")
-    return MorseState(d / nrm, basis)
+    return MorseState(d / np.linalg.norm(d), basis)
 
 
 def evolve_morse(state: MorseState, t: float) -> MorseState:
     """Evolve by exact bound-state eigenphases."""
-    if abs(state.norm() ** 2 - 1.0) > 1e-10:
-        raise NormalizationError("evolve_morse requires a normalized state")
+    check_normalized(state.coeffs, "evolve_morse")
     hbar = state.basis.params.hbar
     phases = np.exp(-1j * state.basis.energies * t / hbar)
     return MorseState(state.coeffs * phases, state.basis)
@@ -388,58 +388,50 @@ def morse_moments_series(
     plan: SamplingPlan,
     observable: str = "x",
 ) -> TimeSeries:
-    """Sample <x>(t) or <p>(t) over a uniform time grid.
+    """Sample <x>(t), <p>(t) or the survival probability over a uniform grid.
 
     Evolution is diagonal, so the spectral kernel phases the coefficients
     and contracts them against the 21x21 (or so) operator matrix.
+    'autocorrelation' and 'survival' both name |<psi(0)|psi(t)>|^2.
     """
     if observable == "x":
-        op = position_matrix(state.basis).astype(complex)
+        op = position_matrix(state.basis)
     elif observable == "p":
         op = momentum_matrix(state.basis)
+    elif observable in ("autocorrelation", "survival"):
+        op = None
     else:
-        raise ValueError(f"observable must be 'x' or 'p', got {observable!r}")
-    if abs(state.norm() ** 2 - 1.0) > 1e-10:
-        raise NormalizationError("series requires a normalized state")
+        raise ValueError(f"morse observable must be x, p, autocorrelation, or survival; "
+                         f"got {observable!r}")
     params = state.basis.params
-    vals = expectation_series(
-        state.basis.energies / params.hbar, state.coeffs, op, plan.times()
-    )
-    meta = {
-        "system": "morse",
-        "observable": observable,
+    vals = sample(state.basis.energies / params.hbar, state.coeffs, op, plan.times())
+    model = {
         "D": repr(params.D),
         "beta": repr(params.beta),
         "mu": repr(params.mu),
         "r0": repr(params.r0),
-        "t_start": repr(plan.t_start),
-        "n_samples": str(plan.n_samples),
     }
-    return TimeSeries(vals, plan.dt, meta)
+    return plan.series(vals, "morse", observable, model)
 
 
-def cache_path(params: MorseParams, n_points: int, cache_dir: str) -> str:
-    """Deterministic cache file name for a parameter set and grid size."""
-    import hashlib
-
+def cache_path(params: MorseParams, cache_dir: str) -> str:
+    """Deterministic cache file name for a parameter set on the default grid."""
     key = "|".join(
         repr(v)
-        for v in (params.D, params.beta, params.mu, params.r0, params.hbar, n_points)
+        for v in (params.D, params.beta, params.mu, params.r0, params.hbar, GRID_POINTS)
     )
     digest = hashlib.sha1(key.encode()).hexdigest()[:16]
     return os.path.join(cache_dir, f"morse_basis_{digest}.npz")
 
 
-def cached_eigenbasis(
-    params: MorseParams, cache_dir: str | None = None, n_points: int = 6000
-) -> MorseEigenbasis:
+def cached_eigenbasis(params: MorseParams, cache_dir: str | None = None) -> MorseEigenbasis:
     """Build the basis, reusing an on-disk copy when a cache dir is given."""
     if cache_dir is None:
-        return build_eigenbasis(params, default_grid(params, n_points))
-    path = cache_path(params, n_points, cache_dir)
+        return build_eigenbasis(params)
+    path = cache_path(params, cache_dir)
     if os.path.exists(path):
         return load_eigenbasis(path, params)
-    basis = build_eigenbasis(params, default_grid(params, n_points))
+    basis = build_eigenbasis(params)
     save_eigenbasis(path, basis)
     return basis
 

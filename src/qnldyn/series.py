@@ -24,6 +24,12 @@ class SamplingPlan:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_samples)
 
+    def series(self, values, system: str, observable: str, model: dict) -> "TimeSeries":
+        """values on this grid; origin: system, observable, model keys, t_start, n_samples."""
+        origin = {"system": system, "observable": observable, **model,
+                  "t_start": repr(self.t_start), "n_samples": str(self.n_samples)}
+        return TimeSeries(values, self.dt, origin)
+
 
 @dataclass(frozen=True)
 class TimeSeries:

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalContractError
+from .errors import NormalizationError, NumericalContractError
 
 #: Level-samples per (levels, times) block: two real rows per level-sample,
 #: 1 MB per working array, so a block and its temporaries stay in a
@@ -80,6 +80,9 @@ _BLOCK_ENTRIES = 1 << 16
 #: Largest imaginary part tolerated in the expectation of a Hermitian
 #: operator, relative to max(1, sum |M|) (module docstring).
 IMAG_TOL = 1e-10
+
+#: Tolerance on |<c|c> - 1| for coefficients that claim to be normalized.
+NORM_TOL = 1e-10
 
 #: pi rounded to 29 significant bits, and the double nearest pi minus it.
 _PI_1 = float.fromhex("0x1.921fb54p+1")
@@ -199,3 +202,26 @@ def survival_amplitude(energies, populations, times) -> np.ndarray:
         out.real[blk] = populations @ block[:levels]
         out.imag[blk] = populations @ block[levels:]
     return out
+
+
+def check_normalized(coeffs, caller: str = "series") -> np.ndarray:
+    """coeffs as a complex array; NormalizationError if |<c|c> - 1| > NORM_TOL."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    defect = abs(np.vdot(coeffs, coeffs).real - 1.0)
+    if not defect <= NORM_TOL:
+        raise NormalizationError(
+            f"{caller} requires a normalized state: |<c|c> - 1| = {defect:.3e} > {NORM_TOL:g}"
+        )
+    return coeffs
+
+
+def sample(energies, coeffs, op, times) -> np.ndarray:
+    """`expectation_series` of normalized coeffs (`check_normalized`) at each time.
+
+    op = None stands for the projector on psi(0), whose expectation is the
+    survival probability |<psi(0)|psi(t)>|^2 = |sum_n |c_n|^2 e^{-i E_n t}|^2.
+    """
+    coeffs = check_normalized(coeffs)
+    if op is None:
+        return np.abs(survival_amplitude(energies, np.abs(coeffs) ** 2, times)) ** 2
+    return expectation_series(energies, coeffs, op, times)

@@ -13,6 +13,10 @@ from ..series import TimeSeries
 #: the CLI reads it to build its `--window-size` option.
 DEFAULT_WINDOW = 5000
 
+#: Longest lag searched for the first autocorrelation minimum: it bounds the Python
+#: loop, and at m = 3 it already spans 4000 samples of a DEFAULT_WINDOW window.
+MAX_DELAY_LAG = 2000
+
 
 @dataclass(frozen=True)
 class EmbeddedSeries:
@@ -57,16 +61,15 @@ def delay_embed(series: TimeSeries, m: int, delay: int) -> EmbeddedSeries:
     return EmbeddedSeries(np.column_stack(cols), m, delay, series.dt)
 
 
-def autocorr_delay(series: TimeSeries, max_lag: int | None = None) -> int:
+def autocorr_delay(series: TimeSeries) -> int:
     """Delay choice: first minimum of the autocorrelation function.
 
     Falls back to the first zero crossing when no interior minimum shows
-    up within max_lag, and to 1 when neither exists.
+    up within MAX_DELAY_LAG (or half the series), and to 1 when neither does.
     """
     x = series.values - series.values.mean()
     n = x.size
-    if max_lag is None:
-        max_lag = min(n // 2, 2000)
+    max_lag = min(n // 2, MAX_DELAY_LAG)
     if max_lag < 2:
         return 1
     size = int(2 ** np.ceil(np.log2(2 * n)))

@@ -173,18 +173,23 @@ def fit_slope(curve: LyapunovCurve, window: tuple[int, int]) -> float:
     return float(np.polyfit(t, s, 1)[0])
 
 
-def auto_fit_window(curve: LyapunovCurve, rise_frac: float = 0.75) -> tuple[int, int]:
+#: Share of the rise to saturation the automatic fit window covers: the last
+#: quarter bends over into the plateau and would pull the slope down.
+RISE_FRAC = 0.75
+
+
+def auto_fit_window(curve: LyapunovCurve) -> tuple[int, int]:
     """Index window over the initial linear rise of the curve.
 
     Starts after offset zero (whose average reflects the radius, not the
-    dynamics) and ends where the curve has covered rise_frac of the way
+    dynamics) and ends where the curve has covered RISE_FRAC of the way
     to its saturation level, estimated from the final quarter.  The window
     covers at least 4 points.
     """
-    return _rise_window(curve, rise_frac)[0]
+    return _rise_window(curve)[0]
 
 
-def _rise_window(curve: LyapunovCurve, rise_frac: float = 0.75):
+def _rise_window(curve: LyapunovCurve):
     """(auto_fit_window's window, whether its end was raised to lo + 4)."""
     t = curve.t_offsets
     s = curve.s_values
@@ -200,7 +205,7 @@ def _rise_window(curve: LyapunovCurve, rise_frac: float = 0.75):
     # clears the tail's own peak-to-peak band before trusting one.
     if rise <= float(tail.max() - tail.min()) or rise <= 0.0:
         return (lo, s.size), False
-    target = base + rise_frac * rise
+    target = base + RISE_FRAC * rise
     above = np.nonzero(s[lo:] >= target)[0]
     hi = lo + int(above[0]) + 1 if above.size else s.size
     clamped = hi < lo + 4

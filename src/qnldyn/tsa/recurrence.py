@@ -117,13 +117,21 @@ def mean_diagonal_length(rec: RecurrenceData, l_min: int = 2) -> float:
     return float(lengths.mean())
 
 
-def diagonal_spacings(
-    rec: RecurrenceData, occupancy_frac: float = 0.5
-) -> np.ndarray:
+#: Occupancy, relative to the best diagonal, that makes a diagonal strong:
+#: half keeps a periodic signal's lines and drops the near-misses between.
+STRONG_DIAGONAL_FRAC = 0.5
+
+#: Spacing families split at gaps over FAMILY_TOL_FRAC of the median, absorbing
+#: center jitter; one needs DOMINANT_SHARE of all spacings, so strays do not count.
+FAMILY_TOL_FRAC = 0.05
+DOMINANT_SHARE = 0.2
+
+
+def diagonal_spacings(rec: RecurrenceData) -> np.ndarray:
     """Gaps between the strong diagonals of the plot.
 
     Offsets whose occupancy (count normalized by diagonal length) reaches
-    occupancy_frac of the best one are grouped into contiguous clusters;
+    STRONG_DIAGONAL_FRAC of the best one are grouped into contiguous clusters;
     the occupancy-weighted cluster centers are the diagonal positions and
     their consecutive differences are returned.
     """
@@ -135,7 +143,7 @@ def diagonal_spacings(
     top = occupancy.max()
     if top <= 0.0:
         return np.empty(0)
-    strong = np.nonzero(occupancy >= occupancy_frac * top)[0]
+    strong = np.nonzero(occupancy >= STRONG_DIAGONAL_FRAC * top)[0]
     cluster_edges = np.nonzero(np.diff(strong) > 1)[0]
     starts = np.concatenate(([0], cluster_edges + 1))
     ends = np.concatenate((cluster_edges, [strong.size - 1]))
@@ -150,22 +158,20 @@ def diagonal_spacings(
     return np.diff(centers)
 
 
-def dominant_peak_count(
-    spacings: np.ndarray, tol_frac: float = 0.05, min_share: float = 0.2
-) -> int:
+def dominant_peak_count(spacings: np.ndarray) -> int:
     """Number of well-populated spacing families.
 
     Sorted spacings are split wherever neighbors differ by more than
-    max(2 samples, tol_frac * median); families holding at least
-    min_share of all spacings count as dominant.
+    max(2 samples, FAMILY_TOL_FRAC * median); families holding at least
+    DOMINANT_SHARE of all spacings count as dominant.
     """
     spacings = np.asarray(spacings, dtype=float)
     if spacings.size == 0:
         return 0
     srt = np.sort(spacings)
-    tol = max(2.0, tol_frac * float(np.median(srt)))
+    tol = max(2.0, FAMILY_TOL_FRAC * float(np.median(srt)))
     splits = np.nonzero(np.diff(srt) > tol)[0]
     starts = np.concatenate(([0], splits + 1))
     ends = np.concatenate((splits, [srt.size - 1]))
     sizes = ends - starts + 1
-    return int(np.count_nonzero(sizes >= min_share * srt.size))
+    return int(np.count_nonzero(sizes >= DOMINANT_SHARE * srt.size))

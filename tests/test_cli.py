@@ -13,8 +13,8 @@ from click.testing import CliRunner
 import qnldyn
 import qnldyn.cli as cli_module
 from qnldyn.cli import cli, main
-from qnldyn.fock import apply_quadrature, coherent_state
-from qnldyn.kerr import KerrParams, level_phases
+from qnldyn.fock import apply_quadrature, coherent_state, quadrature_moment
+from qnldyn.kerr import KerrParams, evolve_kerr
 from qnldyn.seriesio import read_series, write_series
 from qnldyn.series import TimeSeries
 from qnldyn.tsa.synthetic import logistic_series
@@ -144,7 +144,8 @@ def test_exit_code_two_for_numerical_contract_violation(tmp_path):
 @pytest.mark.parametrize("axis", ["x", "p"])
 def test_quartic_moment_at_large_occupation_is_not_rejected(tmp_path, axis):
     """<x^4> ~ 2.5e7 at |alpha|^2 = 2500: one rounding of it is 3.7e-9, so an
-    absolute 1e-10 gate on the imaginary part used to reject a valid run."""
+    absolute 1e-10 gate on the imaginary part used to reject a valid run,
+    in the series kernel and in the single-time `quadrature_moment` alike."""
     cfg = write_cfg(tmp_path, f"system = kerr\nobservable = {axis}^4\nkerr.alpha_sq = 2500\n"
                               "n_samples = 200\ndt = 0.008\n")
     out = str(tmp_path / "quartic.csv")
@@ -159,14 +160,10 @@ def test_quartic_moment_at_large_occupation_is_not_rejected(tmp_path, axis):
     for _ in range(4):
         size = apply_quadrature(size, "x")
     size = float(np.abs(padded) @ size)
-    theta = level_phases(KerrParams(chi=1.0), padded.size - 1)
+    params = KerrParams(chi=1.0)
     times = float(series.origin["t_start"]) + series.dt * np.arange(len(series))
     for k, t in enumerate(times):
-        evolved = padded * np.exp(-1j * theta * t)
-        moment = evolved
-        for _ in range(4):
-            moment = apply_quadrature(moment, axis)
-        direct = np.vdot(evolved, moment).real
+        direct = quadrature_moment(evolve_kerr(state, params, t), axis, 4)
         assert abs(series.values[k] - direct) <= 1e-9 * size
 
 
@@ -264,6 +261,64 @@ def test_omitted_keys_write_their_defaults_into_the_series_header(runner, tmp_pa
     assert section == SECTION_DEFAULTS[system]
     assert "morse.n_prime" not in origin
     assert origin["t_start"] == "0" and origin["dt"] == "0.10000000000000001"
+
+
+#: The model keys each system's series header carries between `observable`
+#: and `t_start`.
+MODEL_KEYS = {
+    "kerr": ["chi", "chi_prime", "cutoff"],
+    "morse": ["D", "beta", "mu", "r0"],
+    "bjj": ["n_atoms", "J", "U", "u"],
+}
+
+#: Every (system, observable) kind the CLI accepts.
+ACCEPTED_OBSERVABLES = [
+    *[("kerr", obs) for obs in ("x^3", "p^2", "fidelity")],
+    *[("morse", obs) for obs in ("x", "p", "autocorrelation", "survival")],
+    *[("bjj", obs) for obs in ("lx", "ly", "lz")],
+]
+
+
+@pytest.mark.parametrize("system, observable", ACCEPTED_OBSERVABLES)
+def test_every_series_header_carries_model_keys_then_the_plan(tmp_path, monkeypatch,
+                                                             system, observable):
+    """One provenance order for every series, survival included: dt, system,
+    observable, the model keys, t_start, n_samples, then the section keys."""
+    monkeypatch.delenv("QNLDYN_CACHE_DIR", raising=False)
+    cfg = write_cfg(tmp_path, f"system = {system}\nobservable = {observable}\n"
+                              "n_samples = 50\n")
+    out = str(tmp_path / "series.csv")
+    assert main(["simulate", cfg, "-o", out]) == 0
+    origin = read_series(out).origin
+    assert list(origin) == ["dt", "system", "observable", *MODEL_KEYS[system], "t_start",
+                            "n_samples", *sorted(SECTION_DEFAULTS[system])]
+    assert (origin["system"], origin["observable"]) == (system, observable)
+
+
+@pytest.mark.parametrize("system, message", [
+    ("kerr", "unknown observable 'bogus'"),
+    ("morse", "morse observable must be x, p, autocorrelation, or survival; got 'bogus'"),
+    ("bjj", "unknown operator 'bogus'"),
+])
+def test_unknown_observable_exits_one_naming_it(tmp_path, capsys, monkeypatch, system,
+                                                message):
+    monkeypatch.delenv("QNLDYN_CACHE_DIR", raising=False)
+    cfg = write_cfg(tmp_path, f"system = {system}\nobservable = bogus\nn_samples = 50\n")
+    assert main(["simulate", cfg, "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
+@pytest.mark.parametrize("ell, n_prime", [(2, 30), (3, 30), (1, -2), (2, -2)])
+def test_morse_top_level_outside_the_bound_spectrum_exits_one(tmp_path, capsys, monkeypatch,
+                                                               ell, n_prime):
+    """The default well's bound levels are n = 0 .. 20, whatever ell is."""
+    monkeypatch.delenv("QNLDYN_CACHE_DIR", raising=False)
+    cfg = write_cfg(tmp_path, f"system = morse\nn_samples = 50\nmorse.ell = {ell}\n"
+                              f"morse.n_prime = {n_prime}\n")
+    assert main(["simulate", cfg, "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: n_prime outside the bound spectrum\n"
+    assert not os.path.exists(tmp_path / "out.csv")
 
 
 def test_help_screens(runner):

@@ -19,12 +19,12 @@ from qnldyn.fock import (
     choose_cutoff,
     coherent_state,
     inner,
-    is_normalized,
     norm,
     poisson_tail,
     quadrature_moment,
     superpose_coherent,
 )
+from qnldyn.spectral import check_normalized
 
 ALPHAS = [0.5, 1.0, 2.0, 3.5, 5.0]
 
@@ -40,7 +40,7 @@ def dense_quadratures(dim):
 def test_coherent_state_is_normalized():
     for a in ALPHAS:
         state = coherent_state(a)
-        assert is_normalized(state)
+        check_normalized(state.amplitudes)
         assert_allclose(norm(state), 1.0, rtol=0.0, atol=1e-12)
 
 
@@ -157,7 +157,7 @@ def test_superposition_support_masked_exactly():
         off = state.amplitudes[n % ell != 0]
         assert np.all(off == 0.0)  # exact zeros, not small residues
         assert spec.ell == ell
-        assert is_normalized(state)
+        check_normalized(state.amplitudes)
 
 
 def test_superposition_on_lattice_amplitudes_proportional():

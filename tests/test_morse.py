@@ -332,10 +332,10 @@ def test_autocorrelation_array_matches_scalars(morse_basis):
 
 def test_cached_eigenbasis_round_trip(tmp_path):
     cache = str(tmp_path)
-    first = cached_eigenbasis(PRESET, cache_dir=cache, n_points=2000)
+    first = cached_eigenbasis(PRESET, cache_dir=cache)
     files = os.listdir(cache)
     assert len(files) == 1
-    second = cached_eigenbasis(PRESET, cache_dir=cache, n_points=2000)
+    second = cached_eigenbasis(PRESET, cache_dir=cache)
     assert_allclose(second.energies, first.energies, atol=0.0)
     assert_allclose(second.grid, first.grid, atol=0.0)
     assert_allclose(second.psi, first.psi, atol=0.0)

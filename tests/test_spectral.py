@@ -31,16 +31,18 @@ from scipy import sparse
 from qnldyn import spectral
 from qnldyn.bjj import (
     BJJParams,
+    SpinState,
     bloch_series,
     build_bjj,
     evolve_bjj,
     make_initial,
     su2_coherent,
 )
-from qnldyn.errors import NumericalContractError
-from qnldyn.fock import coherent_state, inner, quadrature_moment, superpose_coherent
+from qnldyn.errors import NormalizationError, NumericalContractError
+from qnldyn.fock import FockVector, coherent_state, inner, quadrature_moment, superpose_coherent
 from qnldyn.kerr import KerrParams, evolve_kerr, kerr_series, level_phases
 from qnldyn.morse import (
+    MorseState,
     evolve_morse,
     morse_autocorrelation,
     morse_moments_series,
@@ -211,6 +213,38 @@ def test_non_hermitian_operator_rejected_for_every_system(morse_basis):
     upper = np.triu(position_matrix(morse_basis))
     with pytest.raises(NumericalContractError, match="imaginary residue"):
         spectral.expectation_series(morse_basis.energies, state.coeffs, upper, times)
+
+
+# ----------------------------------------------------------- norm gate
+
+
+def _scaled_series(system, observable, morse_basis, scale):
+    """A short series of `observable` from a state whose norm is `scale`."""
+    plan = SamplingPlan(0.0, 0.05, 40)
+    if system == "kerr":
+        state = FockVector(scale * coherent_state(2.0).amplitudes)
+        return kerr_series(state, KERR, plan, observable)
+    if system == "bjj":
+        state = SpinState(scale * make_initial("even", 10).amplitudes)
+        return bloch_series(state, build_bjj(BJJParams.from_u(10, 5.0)), plan, observable)
+    state = MorseState(scale * superpose_morse(0.4, 2, morse_basis).coeffs, morse_basis)
+    return morse_moments_series(state, plan, observable)
+
+
+@pytest.mark.parametrize("system, observable", [
+    ("kerr", "x^2"), ("kerr", "p"), ("kerr", "fidelity"),
+    ("morse", "x"), ("morse", "p"), ("morse", "autocorrelation"), ("morse", "survival"),
+    ("bjj", "lx"), ("bjj", "ly"), ("bjj", "lz"),
+])
+def test_unnormalized_state_fails_the_one_norm_gate(morse_basis, system, observable):
+    """Every series is checked by `spectral.sample` against spectral.NORM_TOL:
+    a 1e-9 excess fails it, and the same state passes once the tolerance
+    there is widened, so no other norm check sits on the path."""
+    scale = np.sqrt(1.0 + 1e-9)
+    with pytest.raises(NormalizationError, match="series requires a normalized state"):
+        _scaled_series(system, observable, morse_basis, scale)
+    with mock.patch.object(spectral, "NORM_TOL", 1e-8):
+        assert len(_scaled_series(system, observable, morse_basis, scale)) == 40
 
 
 # ------------------------------------------------------- generated properties
