@@ -112,8 +112,9 @@ class BJJOperatorSet:
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     def operator(self, name: str) -> np.ndarray:
+        """Lx, Ly or Lz by name; case and surrounding blanks are ignored."""
         try:
-            return {"lx": self.lx, "ly": self.ly, "lz": self.lz}[name]
+            return {"lx": self.lx, "ly": self.ly, "lz": self.lz}[name.strip().lower()]
         except KeyError:
             raise ValueError(f"unknown operator {name!r}") from None
 

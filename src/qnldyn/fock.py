@@ -177,25 +177,36 @@ def apply_quadrature(amps: np.ndarray, axis: str) -> np.ndarray:
     raise ValueError(f"axis must be 'x' or 'p', got {axis!r}")
 
 
+#: Most weight the top `order` levels of a state may carry before a moment of
+#: that order, whose ladder reaches `order` levels past the cutoff.
+HEADROOM_WEIGHT = 1e-10
+
+
+def check_headroom(amps: np.ndarray, order: int) -> None:
+    """Raise TruncationError when the top `order` levels carry > HEADROOM_WEIGHT."""
+    top_weight = float(np.sum(np.abs(amps[-order:]) ** 2))
+    if top_weight > HEADROOM_WEIGHT:
+        raise TruncationError(
+            f"top {order} levels carry weight {top_weight:.3e} > {HEADROOM_WEIGHT:g}; "
+            "increase the cutoff"
+        )
+
+
 def quadrature_moment(state: FockVector, axis: str, order: int) -> float:
     """<x^order> or <p^order> of a normalized state.
 
     The ladder is padded by `order` extra levels before the operator chain
     is applied, so the only truncation concern is weight already sitting
-    at the top of the input vector; more than 1e-10 of it within `order`
-    levels of the cutoff is rejected.  Like the spectral kernel, the gate on
-    the imaginary part is relative, to max(1, sum |c_n (O psi)_n|).
+    at the top of the input vector; more than HEADROOM_WEIGHT of it within
+    `order` levels of the cutoff is rejected (`check_headroom`).  Like the
+    spectral kernel, the gate on the imaginary part is relative, to
+    max(1, sum |c_n (O psi)_n|).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     check_normalized(state.amplitudes, "quadrature_moment")
     amps = state.amplitudes
-    top_weight = float(np.sum(np.abs(amps[-order:]) ** 2))
-    if top_weight > 1e-10:
-        raise TruncationError(
-            f"top {order} levels carry weight {top_weight:.3e} > 1e-10; "
-            "increase the cutoff"
-        )
+    check_headroom(amps, order)
     padded = np.concatenate([amps, np.zeros(order, dtype=complex)])
     work = padded
     for _ in range(order):

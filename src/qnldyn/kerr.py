@@ -13,8 +13,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln
 
-from .errors import TruncationError
-from .fock import SQRT2, FockVector, choose_cutoff
+from .fock import SQRT2, FockVector, check_headroom, choose_cutoff
 from .series import SamplingPlan, TimeSeries
 from .spectral import check_normalized, sample
 
@@ -115,11 +114,7 @@ def kerr_series(
     kind, order = parse_observable(observable)
     amps, op = state.amplitudes, None
     if kind != "fidelity":
-        top_weight = float(np.sum(np.abs(amps[-order:]) ** 2))
-        if top_weight > 1e-10:
-            raise TruncationError(
-                f"top {order} levels carry weight {top_weight:.3e} > 1e-10"
-            )
+        check_headroom(amps, order)
         amps = np.concatenate([amps, np.zeros(order, dtype=complex)])
         root = np.sqrt(np.arange(1, amps.size)) / SQRT2
         # x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2); a sits above the diagonal

@@ -9,6 +9,7 @@ renamed into place.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 
@@ -26,8 +27,8 @@ _PAIR_BLOCK = 1 << 16
 _READ_CHUNK = 1 << 20
 
 
-def _atomic_write(path: str, *chunks) -> None:
-    """Write bytes-like chunks in order to a temp file, then rename it.
+def _atomic_write(path: str, *chunks, stream=()) -> None:
+    """Write bytes-like chunks, then those stream yields, to a temp file; rename it.
 
     Any OS failure leaves no temp file and raises OutputError naming path.
     """
@@ -36,7 +37,7 @@ def _atomic_write(path: str, *chunks) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
+            for chunk in itertools.chain(chunks, stream):
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -152,9 +153,7 @@ def _pair_blocks(rec):
     width = len(str(rec.n_points - 1))
     digits = np.arange(rec.n_points).astype(f"S{width}").view(np.uint8)
     digits = digits.reshape(rec.n_points, width)
-    for lo in range(0, rec.n_pairs, _PAIR_BLOCK):
-        ii = rec.ii[lo : lo + _PAIR_BLOCK]
-        jj = rec.jj[lo : lo + _PAIR_BLOCK]
+    for ii, jj in rec.index_blocks(_PAIR_BLOCK):
         rows = np.empty((ii.size, 2 * width + 2), dtype=np.uint8)
         rows[:, :width] = digits[ii]
         rows[:, width] = ord(",")
@@ -164,7 +163,10 @@ def _pair_blocks(rec):
 
 
 def write_recurrence_pairs(path: str, rec, metadata: dict | None = None) -> None:
-    """Sparse recurrence pairs (i < j), one `i,j` row per pair."""
+    """Sparse recurrence pairs (i < j), one `i,j` row per pair.
+
+    Rows are formatted and written one _PAIR_BLOCK block at a time.
+    """
     meta = {
         "n_points": int(rec.n_points),
         "epsilon": float(rec.epsilon),
@@ -177,7 +179,7 @@ def write_recurrence_pairs(path: str, rec, metadata: dict | None = None) -> None
     lines = _header_lines(meta)
     lines.append("# columns=i,j")
     header = ("\n".join(lines) + "\n").encode()
-    _atomic_write(path, header, *_pair_blocks(rec))
+    _atomic_write(path, header, stream=_pair_blocks(rec))
 
 
 def write_recurrence_bitmap(path: str, rec) -> None:
@@ -185,8 +187,9 @@ def write_recurrence_bitmap(path: str, rec) -> None:
 
     Row 0 of the file is the top row of the image, so pixel (i, j) of
     the plot (i rightward, j upward) lands at file row n-1-j.  Bits are
-    set straight from the pair list, each pair and its mirror, then the
-    diagonal, so memory stays at the n*ceil(n/8) bytes of the image.
+    set from the pairs _PAIR_BLOCK at a time, each pair and its mirror,
+    then the diagonal, so memory stays at the n*ceil(n/8) bytes of the
+    image plus one block.
     """
     n = rec.n_points
     row_bytes = (n + 7) // 8
@@ -196,9 +199,7 @@ def write_recurrence_bitmap(path: str, rec) -> None:
         at = (n - 1 - rows) * row_bytes + (cols >> 3)
         np.bitwise_or.at(image, at, (0x80 >> (cols & 7)).astype(np.uint8))
 
-    for lo in range(0, rec.n_pairs, _PAIR_BLOCK):
-        ii = rec.ii[lo : lo + _PAIR_BLOCK]
-        jj = rec.jj[lo : lo + _PAIR_BLOCK]
+    for ii, jj in rec.index_blocks(_PAIR_BLOCK):
         set_pixels(ii, jj)
         set_pixels(jj, ii)
     diagonal = np.arange(n, dtype=np.int64)

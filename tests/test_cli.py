@@ -13,10 +13,11 @@ from click.testing import CliRunner
 import qnldyn
 import qnldyn.cli as cli_module
 from qnldyn.cli import cli, main
-from qnldyn.fock import apply_quadrature, coherent_state, quadrature_moment
-from qnldyn.kerr import KerrParams, evolve_kerr
+from qnldyn.errors import TruncationError
+from qnldyn.fock import FockVector, apply_quadrature, coherent_state, quadrature_moment
+from qnldyn.kerr import KerrParams, evolve_kerr, kerr_series
 from qnldyn.seriesio import read_series, write_series
-from qnldyn.series import TimeSeries
+from qnldyn.series import SamplingPlan, TimeSeries
 from qnldyn.tsa.synthetic import logistic_series
 
 KERR_CFG = """\
@@ -307,6 +308,41 @@ def test_unknown_observable_exits_one_naming_it(tmp_path, capsys, monkeypatch, s
     assert main(["simulate", cfg, "-o", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "out.csv")
+
+
+def _data_rows(path):
+    with open(path, "rb") as fh:
+        return [line for line in fh if not line.startswith(b"#")]
+
+
+def test_bjj_observable_name_ignores_case(tmp_path, capsys):
+    rows = {}
+    for name in ("LX", "lx", " Lx "):
+        cfg = write_cfg(tmp_path, f"system = bjj\nobservable = {name}\nn_samples = 50\n")
+        out = tmp_path / f"{name.strip()}.csv"
+        assert main(["simulate", cfg, "-o", str(out)]) == 0
+        rows[name] = _data_rows(out)
+    assert rows["LX"] == rows["lx"] == rows[" Lx "]
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, "system = bjj\nobservable = LQ\nn_samples = 50\n")
+    assert main(["simulate", cfg, "-o", str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().err == "error: unknown operator 'LQ'\n"
+
+
+def test_kerr_series_and_quadrature_moment_share_one_truncation_gate():
+    state = coherent_state(1.0)
+    amps = state.amplitudes.copy()
+    amps[-1] = 1e-4  # weight 1e-8 on the cutoff level
+    amps /= np.linalg.norm(amps)
+    edge = FockVector(amps)
+    plan = SamplingPlan(0.0, 0.1, 10)
+    with pytest.raises(TruncationError) as from_series:
+        kerr_series(edge, KerrParams(chi=1.0), plan, "x^2")
+    with pytest.raises(TruncationError) as from_moment:
+        quadrature_moment(edge, "x", 2)
+    assert str(from_series.value) == str(from_moment.value)
+    assert str(from_moment.value) == ("top 2 levels carry weight 1.000e-08 > 1e-10; "
+                                      "increase the cutoff")
 
 
 @pytest.mark.parametrize("ell, n_prime", [(2, 30), (3, 30), (1, -2), (2, -2)])
