@@ -9,19 +9,35 @@ over references,
 
 grows linearly in t at the rate of the maximal exponent before it
 saturates at the attractor size.  A least-squares slope over the linear
-stretch, per unit time, is the estimate.
+stretch, per unit time, is the estimate (Kantz, Phys. Lett. A 185, 77
+(1994)).
 
 The scan builds one k-d tree per embedding dimension m and queries it at
-every radius; only one tree is alive at a time.  References are queried in
-blocks, so only one block's neighbor lists are held.  The gaps of a
-neighborhood are gathered as rows of a sliding window over the scalar
-track: row n holds s_n, ..., s_{n+t_max}, so one fancy index fetches every
-neighbor's future.
+every radius; only one tree is alive at a time.  The trees are built
+unbalanced (split at the midpoint, not the median), which builds faster and
+returns the same sorted neighbor lists.  References are processed in blocks
+of _QUERY_BLOCK, one pass per block:
+
+  - the block's neighbor lists are flattened into one index array and
+    dropped, so only one block's neighbors are held;
+  - the Theiler cut and the even thinning to max_neighbors are array
+    operations over the whole block; the thinning picks the positions
+    np.linspace(0, n - 1, k).astype(np.int64) would;
+  - each reference's gaps are one fancy index into a sliding window over
+    the scalar track (row n holds s_n, ..., s_{n+t_max}), summed into that
+    reference's row;
+  - the rows are divided by their sizes, logged, and added to the running
+    sum in reference order.
+
+So the gathers are still made one reference at a time, and every curve is
+bit for bit what a per-reference loop with gaps.mean(axis=0) and
+sums += log(mean) gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,11 +95,84 @@ def _usable_points(emb: EmbeddedSeries, t_max: int) -> int:
     return usable
 
 
-def _neighbor_lists(tree, queries: np.ndarray, epsilon: float):
-    """Sorted neighbor index lists of each query point, one block at a time."""
-    for lo in range(0, len(queries), _QUERY_BLOCK):
-        block = queries[lo : lo + _QUERY_BLOCK]
-        yield from tree.query_ball_point(block, epsilon, workers=-1, return_sorted=True)
+def _thin_positions(sizes: np.ndarray, k: int) -> np.ndarray:
+    """Row r: the k positions np.linspace(0, sizes[r] - 1, k).astype(np.int64)
+    picks, computed as linspace does (i * ((n - 1) / (k - 1)), the last set
+    to n - 1, truncated), so the thinned neighbors are the same bit for bit.
+    For sizes > k the positions are strictly increasing."""
+    if k == 1:  # linspace's single sample is the start; its step is undefined
+        return np.zeros((sizes.size, 1), dtype=np.int64)
+    last = (sizes - 1).astype(float)
+    pos = np.arange(k, dtype=float) * (last / (k - 1))[:, None]
+    pos[:, -1] = last
+    return pos.astype(np.int64)
+
+
+def _block_neighbors(tree, points, block, epsilon, theiler, max_neighbors):
+    """Neighborhoods of one block of references, as flat arrays.
+
+    Returns (refs, bounds, nb): the references that kept a neighbor outside
+    the Theiler window, and the neighbors of refs[r] in nb[bounds[r]:
+    bounds[r + 1]], ascending and thinned evenly to max_neighbors.
+    """
+    lists = tree.query_ball_point(points[block], epsilon, workers=-1, return_sorted=True)
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    nb = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum()))
+    del lists
+    # Theiler cut: |n' - n| > theiler.  The owner array is gone before the
+    # kept neighbors are copied out.
+    gap = np.repeat(block, sizes)
+    np.subtract(nb, gap, out=gap)
+    np.abs(gap, out=gap)
+    keep = gap > theiler
+    del gap
+    filled = sizes > 0
+    starts = np.cumsum(sizes) - sizes
+    sizes[filled] = np.add.reduceat(keep, starts[filled], dtype=np.int64)
+    nb = nb[keep]
+    del keep
+    # Even thinning of the oversized neighborhoods, all at once.
+    thin = sizes > max_neighbors
+    if thin.any():
+        starts = np.cumsum(sizes) - sizes
+        pick = np.repeat(~thin, sizes)
+        pos = _thin_positions(sizes[thin], max_neighbors)
+        pos += starts[thin, None]
+        pick[pos.ravel()] = True
+        nb = nb[pick]
+        np.minimum(sizes, max_neighbors, out=sizes)
+    used = sizes > 0
+    sizes = sizes[used]
+    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    return block[used], bounds, nb
+
+
+def _add_block(sums, counts, win, refs, bounds, nb) -> int:
+    """Add one block's log mean gaps to sums (and their count to counts) in
+    place; return the number of references added.
+
+    rows[0] carries the running sum and rows[1 + r] reference r's summed
+    gaps, then their mean, then its log (0 where the mean is 0, which adds
+    nothing).  Along axis 0 the reduction adds row after row, so every sum
+    is formed in reference order, as one += per reference would form it.
+    """
+    rows = np.empty((refs.size + 1, sums.size))
+    for row, ref, a, b in zip(rows[1:], refs.tolist(), bounds[:-1].tolist(),
+                              bounds[1:].tolist()):
+        gaps = win[nb[a:b]]
+        gaps -= win[ref]
+        np.abs(gaps, out=gaps)
+        np.add.reduce(gaps, axis=0, out=row)
+    means = rows[1:]
+    means /= np.diff(bounds)[:, None]  # the division gaps.mean(axis=0) makes
+    ok = means > 0.0
+    counts += np.count_nonzero(ok, axis=0)
+    means[~ok] = 1.0
+    np.log(means, out=means)
+    rows[0] = sums
+    np.add.reduce(rows, axis=0, out=sums)
+    return refs.size
 
 
 def lyapunov_curve(
@@ -104,8 +193,9 @@ def lyapunov_curve(
     positive mean gap are dropped.  n_references counts the references
     that kept a neighbor outside the Theiler window; if none did, the
     radius was too small.  A caller scanning several radii at one m may
-    pass tree, a cKDTree over emb.points[:len(emb) - t_max]; without one
-    the curve builds its own.
+    pass tree, a cKDTree over emb.points[:len(emb) - t_max]; a tree over
+    any other number of points is rejected.  Without one the curve builds
+    its own.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -113,37 +203,33 @@ def lyapunov_curve(
         raise ValueError("theiler must be >= 0")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if n_ref < 1:
+        raise ValueError("n_ref must be >= 1")
+    if max_neighbors < 1:
+        raise ValueError("max_neighbors must be >= 1")
     points = emb.points
     usable = _usable_points(emb, t_max)
     if tree is None:
-        tree = cKDTree(points[:usable])
+        tree = cKDTree(points[:usable], balanced_tree=False)
+    elif tree.n != usable:
+        raise ValueError(
+            f"tree indexes {tree.n} points; it must index the {usable} points "
+            f"with t_max = {t_max} future samples"
+        )
     if n_ref >= usable:
         refs = np.arange(usable)
     else:
         refs = np.unique(np.linspace(0, usable - 1, n_ref).astype(np.int64))
-    neighbor_lists = _neighbor_lists(tree, points[refs], epsilon)
     win = sliding_window_view(np.ascontiguousarray(emb.scalar_track), t_max + 1)
     offsets = np.arange(t_max + 1)
     sums = np.zeros(t_max + 1)
     counts = np.zeros(t_max + 1, dtype=np.int64)
     n_used = 0
-    for ref, raw in zip(refs, neighbor_lists):
-        nb = np.asarray(raw, dtype=np.int64)
-        nb = nb[np.abs(nb - ref) > theiler]
-        if nb.size == 0:
-            continue
-        n_used += 1
-        if nb.size > max_neighbors:
-            nb.sort()
-            pick = np.linspace(0, nb.size - 1, max_neighbors).astype(np.int64)
-            nb = nb[np.unique(pick)]
-        gaps = win[nb]
-        gaps -= win[ref]
-        np.abs(gaps, out=gaps)
-        mean_gap = gaps.mean(axis=0)
-        ok = mean_gap > 0.0
-        sums[ok] += np.log(mean_gap[ok])
-        counts[ok] += 1
+    for lo in range(0, refs.size, _QUERY_BLOCK):
+        block = _block_neighbors(tree, points, refs[lo : lo + _QUERY_BLOCK], epsilon,
+                                 theiler, max_neighbors)
+        n_used += _add_block(sums, counts, win, *block)
+        del block  # freed before the next block's query
     if n_used == 0:
         raise NeighborhoodError(
             f"no neighborhood within epsilon = {epsilon:g}; increase epsilon"
@@ -266,7 +352,7 @@ def lyapunov_scan(
     for m in m_values:
         emb = delay_embed(normed, m, delay)
         th = theiler if theiler is not None else 2 * delay * m
-        tree = cKDTree(emb.points[: _usable_points(emb, t_max)])
+        tree = cKDTree(emb.points[: _usable_points(emb, t_max)], balanced_tree=False)
         for eps in epsilons:
             try:
                 curve = lyapunov_curve(

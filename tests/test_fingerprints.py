@@ -1,0 +1,105 @@
+"""Output fingerprints: pinned analysis results of cut-down figure runs.
+
+A change that should leave outputs alone is checked here against numbers
+committed in tests/data/fingerprints.json.  Counts, windows and offsets are
+compared exactly.  Floats are compared at FLOAT_RTOL relative, because
+np.log may differ in its last bit from one CPU to another.
+
+Each regeneration of the file is a test-data change with a cause (for
+example, a fix that moves lambda on purpose):
+
+    PYTHONPATH=src python tests/test_fingerprints.py --write
+"""
+
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qnldyn.cli import FIGURES, run_simulation
+from qnldyn.config import parse_config_text
+from qnldyn.tsa.lyapunov import lyapunov_scan
+
+FINGERPRINTS = Path(__file__).parent / "data" / "fingerprints.json"
+
+FLOAT_RTOL = 1e-9
+
+#: Run name -> (figure, run tag, n_samples): pinned figure runs, cut down.
+LYAP_RUNS = {"fig11-bjj-even-u50-n20000": ("fig11", "bjj-even-u50", 20000)}
+
+#: Offsets at which S(t) is pinned: the knee, the rise and the plateau.
+S_OFFSETS = (0, 1, 2, 3, 4, 5, 6, 8, 12, 20, 35, 60, 100, 200, 400, 600)
+
+
+def _runs(offsets: np.ndarray) -> list[list[int]]:
+    """Offsets as [start, stop) runs of consecutive values."""
+    breaks = np.flatnonzero(np.diff(offsets) != 1) + 1
+    return [[int(part[0]), int(part[-1]) + 1] for part in np.split(offsets, breaks)]
+
+
+def lyap_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
+    """The default lyap scan of a figure run simulated over n_samples."""
+    text, found = re.subn(r"(?m)^n_samples = \d+$", f"n_samples = {n_samples}",
+                          FIGURES[figure].runs[tag])
+    assert found == 1, f"{figure}:{tag} has no n_samples line to cut down"
+    scan = lyapunov_scan(run_simulation(parse_config_text(text, f"{figure}:{tag}")))
+    curves = []
+    for c in scan.curves:
+        s_at = dict(zip(c.t_offsets.tolist(), c.s_values.tolist()))
+        curves.append({
+            "m": c.m,
+            "epsilon": c.epsilon,
+            "n_references": c.n_references,
+            "fit_window": list(c.fit_window),
+            "fit_window_clamped": c.fit_window_clamped,
+            "defined_offsets": _runs(c.t_offsets),
+            "lambda_max": c.lambda_max,
+            "s_at": {str(t): s_at[t] for t in S_OFFSETS if t in s_at},
+        })
+    return {
+        "delay": scan.delay,
+        "lambda_by_m": {str(m): lam for m, lam in scan.lambda_by_m.items()},
+        "lambda_max": scan.lambda_max,
+        "curves": curves,
+    }
+
+
+def compute() -> dict:
+    return {"lyap": {name: lyap_fingerprint(*run) for name, run in LYAP_RUNS.items()}}
+
+
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=FLOAT_RTOL, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(LYAP_RUNS))
+def test_lyap_scan_matches_fingerprint(name):
+    expected = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["lyap"][name]
+    got = lyap_fingerprint(*LYAP_RUNS[name])
+    assert got["delay"] == expected["delay"]
+    assert len(got["curves"]) == len(expected["curves"])
+    for curve, want in zip(got["curves"], expected["curves"]):
+        label = f"m={want['m']} eps={want['epsilon']:g}"
+        for key in ("m", "epsilon", "n_references", "fit_window", "fit_window_clamped",
+                    "defined_offsets"):
+            assert curve[key] == want[key], f"{label}: {key}"
+        assert curve["s_at"].keys() == want["s_at"].keys(), label
+        for t, s in want["s_at"].items():
+            assert _close(curve["s_at"][t], s), f"{label}: S({t})"
+        assert _close(curve["lambda_max"], want["lambda_max"]), f"{label}: lambda_max"
+    assert got["lambda_by_m"].keys() == expected["lambda_by_m"].keys()
+    for m, lam in expected["lambda_by_m"].items():
+        assert _close(got["lambda_by_m"][m], lam), f"lambda(m={m})"
+    assert _close(got["lambda_max"], expected["lambda_max"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write   (regenerates {FINGERPRINTS.name})")
+    FINGERPRINTS.parent.mkdir(exist_ok=True)
+    FINGERPRINTS.write_text(json.dumps(compute(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {FINGERPRINTS}")

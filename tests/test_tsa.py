@@ -15,6 +15,7 @@ and an index gather, and the diagonal-line lengths ordered by lexsort.
 
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -516,6 +517,45 @@ def test_lyapunov_validation():
         lyapunov_curve(emb, 0.1, theiler=2, t_max=99)
 
 
+def _logistic_embedding():
+    """Logistic series of 2000 samples at m = 2: 1999 points, 1979 usable at t_max 20."""
+    return delay_embed(normalize_series(logistic_series(2000)), 2, 1)
+
+
+@pytest.mark.parametrize("option", [
+    {"n_ref": 0}, {"n_ref": -3}, {"max_neighbors": 0}, {"max_neighbors": -3},
+], ids=["n_ref_0", "n_ref_negative", "max_neighbors_0", "max_neighbors_negative"])
+def test_curve_rejects_non_positive_counts(option):
+    emb = _logistic_embedding()
+    name = next(iter(option))
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        lyapunov_curve(emb, 0.05, theiler=2, t_max=20, **option)
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        lyapunov_scan(logistic_series(2000), m_values=(2,), epsilons=(0.05,), t_max=20,
+                      **option)
+
+
+@pytest.mark.parametrize("n_indexed", [1999, 500], ids=["all_points", "first_500"])
+def test_curve_rejects_a_tree_over_other_points(n_indexed):
+    # all 1999 points would index futures past the track; the first 500
+    # would quietly restrict every neighborhood
+    emb = _logistic_embedding()
+    tree = cKDTree(emb.points[:n_indexed])
+    with pytest.raises(ValueError, match=f"tree indexes {n_indexed} points"):
+        lyapunov_curve(emb, 0.05, theiler=2, t_max=20, tree=tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 64), data=st.data())
+def test_thin_positions_equal_linspace(k, data):
+    sizes = np.array(data.draw(st.lists(st.integers(k + 1, 10**6), min_size=1, max_size=8)))
+    pos = lyapunov._thin_positions(sizes, k)
+    assert pos.shape == (sizes.size, k)
+    for n, row in zip(sizes, pos):
+        assert np.array_equal(row, np.linspace(0, n - 1, k).astype(np.int64))
+        assert np.all(np.diff(row) > 0)  # so np.unique would keep every position
+
+
 def _curve_per_radius_tree(emb, epsilon, theiler, t_max, n_ref=2000, max_neighbors=64):
     """The divergence curve with its own k-d tree and an index gather
     track[nb + offsets] per reference: the oracle for lyapunov_curve."""
@@ -659,6 +699,33 @@ def test_scan_equals_oracle_on_random_series(
     series = TimeSeries(np.random.default_rng(seed).random(n), 1.0)
     assert_scan_matches_oracle(series, tuple(m_values), tuple(epsilons), theiler=theiler,
                                t_max=t_max, n_ref=100, max_neighbors=max_neighbors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(40, 400),
+    m=st.integers(1, 3),
+    epsilon=st.floats(0.02, 0.4),
+    theiler=st.integers(0, 30),
+    t_max=st.integers(1, 20),
+    max_neighbors=st.integers(1, 12),
+    block=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curve_equals_oracle_across_query_blocks(
+    n, m, epsilon, theiler, t_max, max_neighbors, block, seed
+):
+    # small query blocks put many block boundaries, and blocks whose
+    # references all lost their neighbors, inside one curve
+    points = np.random.default_rng(seed).random((n, m))
+    emb = EmbeddedSeries(points, m, 1, 0.5)
+    try:
+        expected = _curve_per_radius_tree(emb, epsilon, theiler, t_max, n, max_neighbors)
+    except NeighborhoodError:
+        return
+    with mock.patch.object(lyapunov, "_QUERY_BLOCK", block):
+        curve = lyapunov_curve(emb, epsilon, theiler, t_max, n, max_neighbors)
+    assert_same_curve(curve, expected)
 
 
 def test_scan_builds_one_tree_per_m_and_one_at_a_time(monkeypatch):
