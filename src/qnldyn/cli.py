@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage or configuration problem or an output
 file that cannot be written, 2 numerical contract violation (truncation,
 grid resolution, empty neighborhoods).
 
-`simulate`, `analyze f1|lyap` and `repro` share one simulate step and
-one step per analysis; each step writes its files and returns the lines
+`simulate`, `analyze` and `repro` share one simulate step and one step
+per analysis; each step writes its files and returns the lines
 the command prints.  A `repro` figure is a FIGURES entry: run-file texts,
 parsed as `simulate` parses a run file, and the analysis step for them.
 
@@ -34,9 +34,12 @@ from .seriesio import (
     write_recurrence_pairs,
     write_series,
 )
-from .tsa.embedding import DEFAULT_WINDOW
 
 CACHE_ENV = "QNLDYN_CACHE_DIR"
+
+#: `analyze rp --window-size` default.  It lived in `tsa.embedding`, away from
+#: the k-d tree, but even that made every start-up load `qnldyn.tsa`.
+DEFAULT_WINDOW = 5000
 
 
 def _kerr_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
@@ -112,11 +115,44 @@ def _f1_step(series: TimeSeries, series_path: str, path: str, cell_size: float) 
     ]
 
 
-def _lyap_step(series: TimeSeries, series_path: str, prefix: str, **scan_options) -> list[str]:
-    """Divergence-curve scan; one curve file per (m, epsilon) under prefix."""
+def _rp_step(series: TimeSeries, series_path: str, prefix: str, epsilon: float, m: int,
+             delay: int | None, window_start: int, window_size: int) -> list[str]:
+    """Recurrence plot, pair list and bitmap under prefix, of the window_size
+    embedded points from window_start, or of those there are."""
+    from .tsa import embedding, recurrence
+
+    norm = normalize_series(series)
+    if delay is None:
+        delay = embedding.autocorr_delay(norm)
+    emb = embedding.delay_embed(norm, m, delay)
+    window = (window_start, min(window_start + window_size, len(emb)))
+    rec = recurrence.recurrence_plot(emb, epsilon, window)
+    write_recurrence_pairs(prefix + ".pairs.csv", rec,
+                           metadata={"source": os.path.basename(series_path)})
+    write_recurrence_bitmap(prefix + ".pbm", rec)
+    mean_len = recurrence.mean_diagonal_length(rec)
+    peaks = recurrence.dominant_peak_count(recurrence.diagonal_spacings(rec))
+    return [
+        f"pairs={rec.n_pairs} rate={rec.recurrence_rate():.4f} "
+        f"mean_diagonal={mean_len:.3f} dominant_peaks={peaks}",
+        f"wrote {prefix}.pairs.csv and {prefix}.pbm",
+    ]
+
+
+def _lyap_step(series: TimeSeries, series_path: str, prefix: str, m_values=(), epsilons=(),
+               theiler: int | None = None, t_max: int | None = None) -> list[str]:
+    """Divergence-curve scan, one curve file per (m, epsilon) under prefix; empty
+    m_values or epsilons pick the default grid.  No two radii may share a file."""
     from .tsa import lyapunov
 
-    scan = lyapunov.lyapunov_scan(series, **scan_options)
+    epsilons = epsilons or lyapunov.SCAN_EPSILONS
+    names = [f"eps{eps:g}" for eps in epsilons]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"radii {epsilons[names.index(name)]!r} and {epsilons[i]!r} "
+                             f"would both write {prefix}.m*.{name}.csv")
+    scan = lyapunov.lyapunov_scan(series, m_values or lyapunov.SCAN_DIMENSIONS, epsilons,
+                                  theiler=theiler, t_max=t_max)
     meta = {"source": os.path.basename(series_path)}
     for curve in scan.curves:
         write_lyapunov_curve(f"{prefix}.m{curve.m}.eps{curve.epsilon:g}.csv", curve,
@@ -166,35 +202,16 @@ def f1(series_path, cell_size, output):
 @click.option("--epsilon", default=0.05, show_default=True,
               help="Neighborhood radius on the normalized series.")
 @click.option("--m", default=3, show_default=True, help="Embedding dimension.")
-@click.option("--delay", default=0, show_default=True,
-              help="Embedding delay in samples; 0 picks the autocorrelation delay.")
+@click.option("--delay", type=int, default=None,
+              help="Embedding delay in samples; unset picks the autocorrelation delay.")
 @click.option("--window-start", default=0, show_default=True)
-@click.option("--window-size", default=DEFAULT_WINDOW, show_default=True)
-@click.option("--raw-scalar", is_flag=True, help="Skip embedding; use raw samples.")
+@click.option("--window-size", default=DEFAULT_WINDOW, show_default=True,
+              help="Embedded points examined, at most those after --window-start.")
 @click.option("--output-prefix", "-o", default=None)
-def rp(series_path, epsilon, m, delay, window_start, window_size, raw_scalar, output_prefix):
+def rp(series_path, output_prefix, **options):
     """Recurrence plot of a series window: pair list and bitmap."""
-    from .tsa import embedding, recurrence
-
-    norm = normalize_series(read_series(series_path))
-    if raw_scalar:
-        emb = embedding.delay_embed(norm, 1, 1)
-    else:
-        d = delay if delay > 0 else embedding.autocorr_delay(norm)
-        emb = embedding.delay_embed(norm, m, d)
-    window = (window_start, window_start + window_size)
-    rec = recurrence.recurrence_plot(emb, epsilon, window)
     prefix = output_prefix or series_path + ".rp"
-    write_recurrence_pairs(prefix + ".pairs.csv", rec,
-                           metadata={"source": os.path.basename(series_path)})
-    write_recurrence_bitmap(prefix + ".pbm", rec)
-    mean_len = recurrence.mean_diagonal_length(rec)
-    peaks = recurrence.dominant_peak_count(recurrence.diagonal_spacings(rec))
-    click.echo(
-        f"pairs={rec.n_pairs} rate={rec.recurrence_rate():.4f} "
-        f"mean_diagonal={mean_len:.3f} dominant_peaks={peaks}"
-    )
-    click.echo(f"wrote {prefix}.pairs.csv and {prefix}.pbm")
+    click.echo("\n".join(_rp_step(read_series(series_path), series_path, prefix, **options)))
 
 
 @analyze.command()
@@ -203,25 +220,15 @@ def rp(series_path, epsilon, m, delay, window_start, window_size, raw_scalar, ou
               help="Neighborhood radii (repeatable); default 0.01 0.02 0.04.")
 @click.option("--m", "m_values", multiple=True, type=int,
               help="Embedding dimensions (repeatable); default 3 4 5.")
-@click.option("--theiler", default=0, show_default=True,
-              help="Theiler window in samples; 0 picks 2*delay*m.")
-@click.option("--t-max", default=0, show_default=True,
-              help="Curve horizon in samples; 0 picks an automatic horizon.")
+@click.option("--theiler", type=int, default=None,
+              help="Theiler window in samples; unset picks 2*delay*m.")
+@click.option("--t-max", type=int, default=None,
+              help="Curve horizon in samples; unset picks an automatic horizon.")
 @click.option("--output-prefix", "-o", default=None)
-def lyap(series_path, epsilons, m_values, theiler, t_max, output_prefix):
+def lyap(series_path, output_prefix, **options):
     """Divergence curves S(t) and the fitted maximal exponent."""
-    from .tsa import lyapunov
-
-    lines = _lyap_step(
-        read_series(series_path),
-        series_path,
-        output_prefix or series_path + ".lyap",
-        m_values=m_values or lyapunov.SCAN_DIMENSIONS,
-        epsilons=epsilons or lyapunov.SCAN_EPSILONS,
-        theiler=theiler if theiler > 0 else None,
-        t_max=t_max if t_max > 0 else None,
-    )
-    click.echo("\n".join(lines))
+    prefix = output_prefix or series_path + ".lyap"
+    click.echo("\n".join(_lyap_step(read_series(series_path), series_path, prefix, **options)))
 
 
 class Figure(NamedTuple):
@@ -308,11 +315,6 @@ for _name, _figure in FIGURES.items():
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

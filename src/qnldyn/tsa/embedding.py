@@ -8,13 +8,8 @@ import numpy as np
 
 from ..series import TimeSeries
 
-#: Default number of embedded points a recurrence plot examines when no
-#: window is given.  It lives here, away from the k-d tree import, because
-#: the CLI reads it to build its `--window-size` option.
-DEFAULT_WINDOW = 5000
-
 #: Longest lag searched for the first autocorrelation minimum: it bounds the Python
-#: loop, and at m = 3 it already spans 4000 samples of a DEFAULT_WINDOW window.
+#: loop, and at m = 3 it already spans 4000 samples of the CLI's default rp window.
 MAX_DELAY_LAG = 2000
 
 

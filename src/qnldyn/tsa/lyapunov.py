@@ -339,8 +339,10 @@ def lyapunov_scan(
     autocorrelation delay, and each (m, epsilon) curve is fitted over its
     linear rise; the radii at one m share one k-d tree.  Per-dimension
     estimates are averaged over radii; their overall mean and spread
-    (max - min across m) are reported.
+    (max - min across m) are reported.  m_values and epsilons must not repeat.
     """
+    if len(set(m_values)) < len(m_values) or len(set(epsilons)) < len(epsilons):
+        raise ValueError(f"m_values {m_values} and epsilons {epsilons} must not repeat")
     normed = normalize_series(series)
     if delay is None:
         delay = autocorr_delay(normed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .embedding import DEFAULT_WINDOW, EmbeddedSeries
+from .embedding import EmbeddedSeries
 
 
 #: Stored pairs split into (i, j) indices per block by the diagonal statistics.
@@ -106,11 +106,11 @@ class RecurrenceData:
 def recurrence_plot(
     emb: EmbeddedSeries,
     epsilon: float,
-    window: tuple[int, int] | None = None,
+    window: tuple[int, int],
 ) -> RecurrenceData:
     """Recurrence relation of emb.points[start:stop] at threshold epsilon.
 
-    Without an explicit window the first DEFAULT_WINDOW points are used;
+    The caller picks the window (start, stop), 0 <= start < stop <= len(emb);
     pair search runs through a k-d tree, so moderate windows stay far
     below the naive quadratic cost.  The searched (i, j) pairs are folded
     into keys and dropped before the keys are sorted in place, so no later
@@ -118,8 +118,6 @@ def recurrence_plot(
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if window is None:
-        window = (0, min(DEFAULT_WINDOW, len(emb)))
     start, stop = window
     if not (0 <= start < stop <= len(emb)):
         raise ValueError(f"window {window} outside the embedded range")

@@ -66,7 +66,7 @@ def _fit_bins(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, centers, counts
 
 
-def exponential_fit(times, dt: float = 1.0) -> tuple[float, float | None, bool, int]:
+def exponential_fit(times) -> tuple[float, float | None, bool, int]:
     """Score times against the law mu * exp(-mu * tau), mu = 1/mean.
 
     Returns (mu, fit_quality, quasi_periodic, occupied_bins).  The score

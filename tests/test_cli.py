@@ -17,8 +17,9 @@ from qnldyn.errors import TruncationError
 from qnldyn.fock import FockVector, apply_quadrature, coherent_state, quadrature_moment
 from qnldyn.kerr import KerrParams, evolve_kerr, kerr_series
 from qnldyn.seriesio import read_series, write_series
-from qnldyn.series import SamplingPlan, TimeSeries
-from qnldyn.tsa.synthetic import logistic_series
+from qnldyn.series import SamplingPlan, TimeSeries, normalize_series
+from qnldyn.tsa import autocorr_delay, delay_embed, recurrence_plot
+from qnldyn.tsa.synthetic import logistic_series, sine_series
 
 KERR_CFG = """\
 system = kerr
@@ -115,13 +116,79 @@ def test_analyze_lyap_reports_clamped_fit_windows(runner, tmp_path):
             assert f"# fit_window_clamped={clamped}\n" in header
 
 
-def test_analyze_rp_raw_scalar_mode(runner, tmp_path):
+def read_pairs(path) -> tuple[dict, np.ndarray]:
+    """Header and (i, j) rows of a recurrence pair list."""
+    with open(path) as fh:
+        text = fh.read()
+    header = dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("#"))
+    rows = [tuple(map(int, line.split(","))) for line in text.splitlines()
+            if line and not line.startswith("#")]
+    return header, np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def test_analyze_rp_m1_uses_the_raw_samples(runner, tmp_path):
+    series = TimeSeries(np.sin(np.arange(2000) / 7.0), 1.0)
     path = str(tmp_path / "sine.csv")
-    write_series(path, TimeSeries(np.sin(np.arange(2000) / 7.0), 1.0))
-    result = runner.invoke(cli, ["analyze", "rp", path, "--raw-scalar",
+    write_series(path, series)
+    result = runner.invoke(cli, ["analyze", "rp", path, "--m", "1",
                                  "--epsilon", "0.05", "--window-size", "500"])
     assert result.exit_code == 0, result.output
     assert "dominant_peaks=" in result.output
+    rec = recurrence_plot(delay_embed(normalize_series(series), 1, 1), 0.05, (0, 500))
+    header, pairs = read_pairs(path + ".rp.pairs.csv")
+    assert header["n_points"] == "500"
+    assert np.array_equal(pairs, np.column_stack([rec.ii, rec.jj]))
+
+
+@pytest.mark.parametrize("start", [0, 2000])
+def test_analyze_rp_window_stops_at_the_last_embedded_point(tmp_path, start):
+    """The default 5000-point window on a 3000-sample series takes every
+    embedded point from --window-start on."""
+    path = str(tmp_path / "sine.csv")
+    write_series(path, sine_series(3000))
+    assert main(["analyze", "rp", path, "--window-start", str(start)]) == 0
+    norm = normalize_series(read_series(path))
+    n_embedded = len(delay_embed(norm, 3, autocorr_delay(norm)))
+    header, _ = read_pairs(path + ".rp.pairs.csv")
+    assert (header["n_points"], header["window_start"]) == (str(n_embedded - start), str(start))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lyap", "--theiler", "-7"], "theiler must be >= 0"),
+    (["lyap", "--t-max", "-5"], "t_max must be >= 1"),
+    (["rp", "--delay", "-3"], "delay must be >= 1"),
+    (["rp", "--raw-scalar"], "No such option"),
+], ids=["theiler", "t_max", "delay", "raw_scalar"])
+def test_rejected_analysis_options_exit_one(tmp_path, capsys, argv, message):
+    """A negative value is rejected, not read as "automatic"; --raw-scalar,
+    a copy of --m 1, is gone."""
+    path = str(tmp_path / "logistic.csv")
+    write_series(path, logistic_series(1000))
+    command, *options = argv
+    assert main(["analyze", command, path, "--m", "3", *options]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_lyap_theiler_zero_is_a_zero_window(tmp_path):
+    path = str(tmp_path / "logistic.csv")
+    write_series(path, logistic_series(2000))
+    assert main(["analyze", "lyap", path, "--theiler", "0", "--m", "2", "--m", "3",
+                 "--epsilon", "0.05", "--t-max", "20"]) == 0
+    for m in (2, 3):
+        assert "# theiler=0\n" in (tmp_path / f"logistic.csv.lyap.m{m}.eps0.05.csv").read_text()
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--m", "3", "--m", "3", "--epsilon", "0.05"], "m_values (3, 3)"),
+    (["--m", "3", "--epsilon", "0.0500001", "--epsilon", "0.05000012"],
+     "radii 0.0500001 and 0.05000012 would both write"),
+], ids=["repeated_m", "same_file_name"])
+def test_analyze_lyap_rejects_curves_that_share_a_file(tmp_path, capsys, options, message):
+    path = str(tmp_path / "logistic.csv")
+    write_series(path, logistic_series(2000))
+    assert main(["analyze", "lyap", path, "--t-max", "20", *options]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["logistic.csv"]
 
 
 def test_exit_code_one_for_config_and_data_errors(tmp_path):
@@ -362,6 +429,7 @@ def test_help_screens(runner):
                  ["analyze", "rp"], ["analyze", "lyap"], ["repro"]):
         result = runner.invoke(cli, args + ["--help"])
         assert result.exit_code == 0
+        assert main(args + ["--help"]) == 0
 
 
 def test_console_entry_point():
@@ -445,10 +513,9 @@ def test_too_few_atoms_exit_one_without_traceback(tmp_path, capsys, n_atoms):
 
 # ------------------------------------------------------------ import budget
 
-#: What `import qnldyn.cli` loads of the package: the modules every command
-#: uses, plus tsa.embedding for the default recurrence window.
+#: What `import qnldyn.cli` loads of the package: the modules every command uses.
 CLI_MODULES = {"qnldyn", "qnldyn.cli", "qnldyn.config", "qnldyn.errors", "qnldyn.series",
-               "qnldyn.seriesio", "qnldyn.tsa", "qnldyn.tsa.embedding"}
+               "qnldyn.seriesio"}
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qnldyn.__file__)))
 
@@ -488,7 +555,7 @@ def test_analyze_f1_loads_no_scipy(tmp_path):
     path = str(tmp_path / "sine.csv")
     write_series(path, TimeSeries(np.sin(np.arange(2000) / 7.0), 1.0))
     modules = run_in_fresh_interpreter(["analyze", "f1", path], tmp_path)
-    assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.tsa.returns"}
+    assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.tsa", "qnldyn.tsa.returns"}
     assert not within(modules, "scipy")
 
 
@@ -524,7 +591,8 @@ def test_analyze_lyap_loads_only_the_lyapunov_module(tmp_path):
     write_series(path, logistic_series(3000))
     modules = run_in_fresh_interpreter(
         ["analyze", "lyap", path, "--m", "3", "--epsilon", "0.05", "--t-max", "20"], tmp_path)
-    assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.tsa.lyapunov"}
+    assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.tsa", "qnldyn.tsa.embedding",
+                                                      "qnldyn.tsa.lyapunov"}
     assert within(modules, "scipy.spatial")
 
 

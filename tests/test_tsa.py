@@ -349,7 +349,7 @@ def test_two_incommensurate_tones_stay_quasi_periodic():
 def test_recurrence_validation():
     emb = embedded_sine(n=300)
     with pytest.raises(ValueError):
-        recurrence_plot(emb, 0.0)
+        recurrence_plot(emb, 0.0, (0, 100))
     with pytest.raises(ValueError):
         recurrence_plot(emb, 0.1, (100, 50))
     rec = recurrence_plot(emb, 0.3, (0, 100))
@@ -763,6 +763,16 @@ def test_neighbor_lists_are_held_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < held / 2
+
+
+@pytest.mark.parametrize("grid", [
+    {"m_values": (3, 3), "epsilons": (0.05,)},
+    {"m_values": (3,), "epsilons": (0.05, 0.02, 0.05)},
+], ids=["repeated_m", "repeated_epsilon"])
+def test_scan_rejects_a_repeated_grid_value(grid):
+    # a repeated (m, epsilon) would count one curve twice in lambda
+    with pytest.raises(ValueError, match="must not repeat"):
+        lyapunov_scan(logistic_series(2000), t_max=20, **grid)
 
 
 def test_scan_rejects_t_max_without_two_usable_points():
