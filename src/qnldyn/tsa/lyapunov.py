@@ -20,7 +20,7 @@ of _QUERY_BLOCK, one pass per block:
 
   - the block's neighbor lists are flattened into one index array and
     dropped, so only one block's neighbors are held;
-  - the Theiler cut and the even thinning to max_neighbors are array
+  - the Theiler cut and the even thinning to MAX_NEIGHBORS are array
     operations over the whole block; the thinning picks the positions
     np.linspace(0, n - 1, k).astype(np.int64) would;
   - each reference's gaps are one fancy index into a sliding window over
@@ -53,6 +53,15 @@ SCAN_DIMENSIONS = (3, 4, 5)
 #: Default neighborhood radii, as fractions of the (normalized) range.
 SCAN_EPSILONS = (0.01, 0.02, 0.04)
 
+#: Reference points per curve, taken evenly across the usable points.
+N_REFERENCES = 2000
+
+#: Neighbors followed per reference; larger neighborhoods are thinned evenly.
+MAX_NEIGHBORS = 64
+
+#: Fewest curve points a slope is fitted over.
+MIN_FIT_POINTS = 4
+
 #: Reference points per k-d tree query; their neighbor lists, not the tree,
 #: set the scan's peak memory.
 _QUERY_BLOCK = 1 << 9
@@ -72,8 +81,8 @@ class LyapunovCurve:
     n_references: int  # references that kept a neighbor, i.e. contributed
     lambda_max: float | None = None
     fit_window: tuple[int, int] | None = None
-    # True when auto_fit_window raised the window's end to its 4-point floor:
-    # the rise was shorter than that, so the slope is a knee, not a stretch.
+    # True when auto_fit_window raised the window's end to cover MIN_FIT_POINTS
+    # points: the rise was shorter, so the slope is a knee, not a stretch.
     fit_window_clamped: bool | None = None
 
     def __post_init__(self):
@@ -85,6 +94,17 @@ class LyapunovCurve:
         object.__setattr__(self, "s_values", s)
         if t.size != s.size:
             raise ValueError("t_offsets and s_values must align")
+
+
+def _check_settings(epsilons, theiler: int | None, t_max: int | None) -> None:
+    """Reject a non-positive radius, a negative Theiler window or a horizon
+    below 1; None stands for a value the scan picks itself."""
+    if not all(eps > 0 for eps in epsilons):
+        raise ValueError("epsilon must be positive")
+    if theiler is not None and theiler < 0:
+        raise ValueError("theiler must be >= 0")
+    if t_max is not None and t_max < 1:
+        raise ValueError("t_max must be >= 1")
 
 
 def _usable_points(emb: EmbeddedSeries, t_max: int) -> int:
@@ -108,12 +128,12 @@ def _thin_positions(sizes: np.ndarray, k: int) -> np.ndarray:
     return pos.astype(np.int64)
 
 
-def _block_neighbors(tree, points, block, epsilon, theiler, max_neighbors):
+def _block_neighbors(tree, points, block, epsilon, theiler):
     """Neighborhoods of one block of references, as flat arrays.
 
     Returns (refs, bounds, nb): the references that kept a neighbor outside
     the Theiler window, and the neighbors of refs[r] in nb[bounds[r]:
-    bounds[r + 1]], ascending and thinned evenly to max_neighbors.
+    bounds[r + 1]], ascending and thinned evenly to MAX_NEIGHBORS.
     """
     lists = tree.query_ball_point(points[block], epsilon, workers=-1, return_sorted=True)
     sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
@@ -132,15 +152,15 @@ def _block_neighbors(tree, points, block, epsilon, theiler, max_neighbors):
     nb = nb[keep]
     del keep
     # Even thinning of the oversized neighborhoods, all at once.
-    thin = sizes > max_neighbors
+    thin = sizes > MAX_NEIGHBORS
     if thin.any():
         starts = np.cumsum(sizes) - sizes
         pick = np.repeat(~thin, sizes)
-        pos = _thin_positions(sizes[thin], max_neighbors)
+        pos = _thin_positions(sizes[thin], MAX_NEIGHBORS)
         pos += starts[thin, None]
         pick[pos.ravel()] = True
         nb = nb[pick]
-        np.minimum(sizes, max_neighbors, out=sizes)
+        np.minimum(sizes, MAX_NEIGHBORS, out=sizes)
     used = sizes > 0
     sizes = sizes[used]
     bounds = np.zeros(sizes.size + 1, dtype=np.int64)
@@ -180,33 +200,23 @@ def lyapunov_curve(
     epsilon: float,
     theiler: int,
     t_max: int,
-    n_ref: int = 2000,
-    max_neighbors: int = 64,
     tree: cKDTree | None = None,
 ) -> LyapunovCurve:
     """Average log divergence of epsilon-neighborhoods over t_max steps.
 
-    Reference points are taken evenly across the usable range (those with
-    t_max future samples).  Oversized neighborhoods are thinned evenly to
-    max_neighbors members, which keeps densely recurrent signals cheap
-    without biasing the average.  Offsets where no reference kept a
-    positive mean gap are dropped.  n_references counts the references
+    N_REFERENCES reference points are taken evenly across the usable range
+    (those with t_max future samples), or all of them if there are fewer.
+    Oversized neighborhoods are thinned evenly to MAX_NEIGHBORS members,
+    which keeps densely recurrent signals cheap without biasing the
+    average.  Offsets where no reference kept a positive mean gap are
+    dropped.  n_references counts the references
     that kept a neighbor outside the Theiler window; if none did, the
     radius was too small.  A caller scanning several radii at one m may
     pass tree, a cKDTree over emb.points[:len(emb) - t_max]; a tree over
     any other number of points is rejected.  Without one the curve builds
     its own.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if theiler < 0:
-        raise ValueError("theiler must be >= 0")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if n_ref < 1:
-        raise ValueError("n_ref must be >= 1")
-    if max_neighbors < 1:
-        raise ValueError("max_neighbors must be >= 1")
+    _check_settings((epsilon,), theiler, t_max)
     points = emb.points
     usable = _usable_points(emb, t_max)
     if tree is None:
@@ -216,10 +226,8 @@ def lyapunov_curve(
             f"tree indexes {tree.n} points; it must index the {usable} points "
             f"with t_max = {t_max} future samples"
         )
-    if n_ref >= usable:
-        refs = np.arange(usable)
-    else:
-        refs = np.unique(np.linspace(0, usable - 1, n_ref).astype(np.int64))
+    # Every usable point when there are no more than N_REFERENCES of them.
+    refs = np.unique(np.linspace(0, usable - 1, N_REFERENCES).astype(np.int64))
     win = sliding_window_view(np.ascontiguousarray(emb.scalar_track), t_max + 1)
     offsets = np.arange(t_max + 1)
     sums = np.zeros(t_max + 1)
@@ -227,7 +235,7 @@ def lyapunov_curve(
     n_used = 0
     for lo in range(0, refs.size, _QUERY_BLOCK):
         block = _block_neighbors(tree, points, refs[lo : lo + _QUERY_BLOCK], epsilon,
-                                 theiler, max_neighbors)
+                                 theiler)
         n_used += _add_block(sums, counts, win, *block)
         del block  # freed before the next block's query
     if n_used == 0:
@@ -250,12 +258,10 @@ def lyapunov_curve(
 def fit_slope(curve: LyapunovCurve, window: tuple[int, int]) -> float:
     """Least-squares slope of S over the index window, per unit time."""
     lo, hi = window
-    if hi - lo < 4:
-        raise ValueError("fit window must cover at least 4 points")
     t = curve.t_offsets[lo:hi] * curve.dt
     s = curve.s_values[lo:hi]
-    if t.size < 4:
-        raise ValueError("fit window must cover at least 4 defined points")
+    if t.size < MIN_FIT_POINTS:
+        raise ValueError(f"fit window must cover at least {MIN_FIT_POINTS} defined points")
     return float(np.polyfit(t, s, 1)[0])
 
 
@@ -264,19 +270,15 @@ def fit_slope(curve: LyapunovCurve, window: tuple[int, int]) -> float:
 RISE_FRAC = 0.75
 
 
-def auto_fit_window(curve: LyapunovCurve) -> tuple[int, int]:
-    """Index window over the initial linear rise of the curve.
+def auto_fit_window(curve: LyapunovCurve) -> tuple[tuple[int, int], bool]:
+    """Index window over the initial linear rise of the curve, and whether
+    its end was raised to cover MIN_FIT_POINTS points.
 
     Starts after offset zero (whose average reflects the radius, not the
     dynamics) and ends where the curve has covered RISE_FRAC of the way
-    to its saturation level, estimated from the final quarter.  The window
-    covers at least 4 points.
+    to its saturation level, estimated from the final third.  A raised
+    end means the rise was shorter than the floor, so the slope is a knee.
     """
-    return _rise_window(curve)[0]
-
-
-def _rise_window(curve: LyapunovCurve):
-    """(auto_fit_window's window, whether its end was raised to lo + 4)."""
     t = curve.t_offsets
     s = curve.s_values
     if t.size < 6:
@@ -294,19 +296,14 @@ def _rise_window(curve: LyapunovCurve):
     target = base + RISE_FRAC * rise
     above = np.nonzero(s[lo:] >= target)[0]
     hi = lo + int(above[0]) + 1 if above.size else s.size
-    clamped = hi < lo + 4
-    return (lo, min(max(hi, lo + 4), s.size)), clamped
+    floor = lo + MIN_FIT_POINTS
+    return (lo, min(max(hi, floor), s.size)), hi < floor
 
 
-def fitted(curve: LyapunovCurve, window: tuple[int, int] | None = None) -> LyapunovCurve:
-    """Attach a slope estimate (and the window used) to the curve.
-
-    An automatic window records whether it was clamped to its floor; a
-    given window never is.
-    """
-    clamped = False
-    if window is None:
-        window, clamped = _rise_window(curve)
+def fitted(curve: LyapunovCurve) -> LyapunovCurve:
+    """Attach the slope over auto_fit_window's window, the window and whether
+    it was clamped to its floor to the curve."""
+    window, clamped = auto_fit_window(curve)
     return replace(curve, lambda_max=fit_slope(curve, window), fit_window=window,
                    fit_window_clamped=clamped)
 
@@ -326,11 +323,8 @@ def lyapunov_scan(
     series: TimeSeries,
     m_values: tuple[int, ...] = SCAN_DIMENSIONS,
     epsilons: tuple[float, ...] = SCAN_EPSILONS,
-    delay: int | None = None,
     theiler: int | None = None,
     t_max: int | None = None,
-    n_ref: int = 2000,
-    max_neighbors: int = 64,
 ) -> LyapunovScan:
     """Full estimation pipeline on a raw series.
 
@@ -340,15 +334,20 @@ def lyapunov_scan(
     linear rise; the radii at one m share one k-d tree.  Per-dimension
     estimates are averaged over radii; their overall mean and spread
     (max - min across m) are reported.  m_values and epsilons must not repeat.
+    Every setting is checked before any work is done.
     """
     if len(set(m_values)) < len(m_values) or len(set(epsilons)) < len(epsilons):
         raise ValueError(f"m_values {m_values} and epsilons {epsilons} must not repeat")
+    if any(m < 1 for m in m_values):
+        raise ValueError("m must be >= 1")
+    if t_max is not None and t_max < MIN_FIT_POINTS - 1:
+        raise ValueError(f"t_max must be >= {MIN_FIT_POINTS - 1}: offsets 0..t_max must "
+                         f"cover the {MIN_FIT_POINTS} points a fit needs")
+    _check_settings(epsilons, theiler, t_max)
     normed = normalize_series(series)
-    if delay is None:
-        delay = autocorr_delay(normed)
+    delay = autocorr_delay(normed)
     if t_max is None:
         t_max = min(600, max(30, (len(normed) - 2) // 4))
-    results: dict[int, list[float]] = {m: [] for m in m_values}
     curves = []
     failures = []
     for m in m_values:
@@ -357,23 +356,21 @@ def lyapunov_scan(
         tree = cKDTree(emb.points[: _usable_points(emb, t_max)], balanced_tree=False)
         for eps in epsilons:
             try:
-                curve = lyapunov_curve(
-                    emb, eps, th, t_max, n_ref=n_ref, max_neighbors=max_neighbors,
-                    tree=tree,
-                )
+                curve = lyapunov_curve(emb, eps, th, t_max, tree=tree)
             except NeighborhoodError as exc:
                 failures.append(str(exc))
                 continue
-            curve = fitted(curve)
-            curves.append(curve)
-            results[m].append(curve.lambda_max)
+            curves.append(fitted(curve))
         del tree  # freed before the next m builds, so one tree is alive at a time
     if not curves:
         raise NeighborhoodError(
             "every radius left all neighborhoods empty; increase epsilons "
             f"({'; '.join(failures)})"
         )
-    lambda_by_m = {m: float(np.mean(v)) for m, v in results.items() if v}
+    by_m: dict[int, list[float]] = {}
+    for curve in curves:
+        by_m.setdefault(curve.m, []).append(curve.lambda_max)
+    lambda_by_m = {m: float(np.mean(v)) for m, v in by_m.items()}
     values = np.array(list(lambda_by_m.values()))
     return LyapunovScan(
         curves=tuple(curves),

@@ -102,7 +102,8 @@ def return_time_histogram(series: TimeSeries, cell_size: float) -> ReturnTimeHis
     """Collect first-return times of a series into its starting cell.
 
     With fewer than MIN_RETURNS recorded gaps the summary is marked
-    insufficient and carries no fit score.
+    insufficient and carries no fit score; occupied_bins counts the fit
+    bins the return times fall in either way.
     """
     if not cell_size > 0:
         raise ValueError("cell_size must be positive")
@@ -119,28 +120,16 @@ def return_time_histogram(series: TimeSeries, cell_size: float) -> ReturnTimeHis
             "series never returned to the reference cell; "
             "enlarge cell_size or lengthen the series"
         )
-    mean_tau = float(times.mean())
-    if times.size < MIN_RETURNS:
-        return ReturnTimeHistogram(
-            cell_size=cell_size,
-            return_times=times,
-            mean_tau=mean_tau,
-            mu_fit=1.0 / mean_tau,
-            dt=series.dt,
-            fit_quality=None,
-            quasi_periodic=False,
-            insufficient=True,
-            occupied_bins=int(np.unique(times).size),
-        )
     mu, quality, quasi, occupied = exponential_fit(times)
+    insufficient = times.size < MIN_RETURNS
     return ReturnTimeHistogram(
         cell_size=cell_size,
         return_times=times,
-        mean_tau=mean_tau,
+        mean_tau=float(times.mean()),
         mu_fit=mu,
         dt=series.dt,
-        fit_quality=quality,
-        quasi_periodic=quasi,
-        insufficient=False,
+        fit_quality=None if insufficient else quality,
+        quasi_periodic=quasi and not insufficient,
+        insufficient=insufficient,
         occupied_bins=occupied,
     )

@@ -155,7 +155,7 @@ def test_analyze_rp_window_stops_at_the_last_embedded_point(tmp_path, start):
 
 @pytest.mark.parametrize("argv, message", [
     (["lyap", "--theiler", "-7"], "theiler must be >= 0"),
-    (["lyap", "--t-max", "-5"], "t_max must be >= 1"),
+    (["lyap", "--t-max", "-5"], "t_max must be >= 3"),
     (["rp", "--delay", "-3"], "delay must be >= 1"),
     (["rp", "--raw-scalar"], "No such option"),
 ], ids=["theiler", "t_max", "delay", "raw_scalar"])

@@ -5,10 +5,10 @@ committed in tests/data/fingerprints.json.  Counts, windows and offsets are
 compared exactly.  Floats are compared at FLOAT_RTOL relative, because
 np.log may differ in its last bit from one CPU to another.
 
-Each regeneration of the file is a test-data change with a cause (for
-example, a fix that moves lambda on purpose):
+Each regeneration of a slice is a test-data change with a cause (for
+example, a fix that moves lambda on purpose); the slices not named are kept:
 
-    PYTHONPATH=src python tests/test_fingerprints.py --write
+    PYTHONPATH=src python tests/test_fingerprints.py --write lyap|f1 ...
 """
 
 import json
@@ -22,7 +22,9 @@ import pytest
 
 from qnldyn.cli import FIGURES, run_simulation
 from qnldyn.config import parse_config_text
+from qnldyn.series import normalize_series
 from qnldyn.tsa.lyapunov import lyapunov_scan
+from qnldyn.tsa.returns import return_time_histogram
 
 FINGERPRINTS = Path(__file__).parent / "data" / "fingerprints.json"
 
@@ -30,6 +32,15 @@ FLOAT_RTOL = 1e-9
 
 #: Run name -> (figure, run tag, n_samples): pinned figure runs, cut down.
 LYAP_RUNS = {"fig11-bjj-even-u50-n20000": ("fig11", "bjj-even-u50", 20000)}
+
+#: Run name -> (figure, run tag, n_samples): pinned f1 runs, cut down to a few
+#: hundred returns each.
+F1_RUNS = {f"{figure}-{tag}-n20000": (figure, tag, 20000)
+           for figure, tag in [("fig3", "kerr-coherent-25"), ("fig3", "kerr-even-25"),
+                               ("fig7", "bjj-pi-u50"), ("fig7", "bjj-even-u50")]}
+
+#: The cell size of the f1 step in fig3 and fig7.
+F1_CELL_SIZE = 0.01
 
 #: Offsets at which S(t) is pinned: the knee, the rise and the plateau.
 S_OFFSETS = (0, 1, 2, 3, 4, 5, 6, 8, 12, 20, 35, 60, 100, 200, 400, 600)
@@ -41,12 +52,34 @@ def _runs(offsets: np.ndarray) -> list[list[int]]:
     return [[int(part[0]), int(part[-1]) + 1] for part in np.split(offsets, breaks)]
 
 
-def lyap_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
-    """The default lyap scan of a figure run simulated over n_samples."""
+def _cut_run(figure: str, tag: str, n_samples: int):
+    """The series of a figure run simulated over n_samples."""
     text, found = re.subn(r"(?m)^n_samples = \d+$", f"n_samples = {n_samples}",
                           FIGURES[figure].runs[tag])
     assert found == 1, f"{figure}:{tag} has no n_samples line to cut down"
-    scan = lyapunov_scan(run_simulation(parse_config_text(text, f"{figure}:{tag}")))
+    return run_simulation(parse_config_text(text, f"{figure}:{tag}"))
+
+
+def f1_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
+    """The f1 histogram of a figure run simulated over n_samples."""
+    hist = return_time_histogram(normalize_series(_cut_run(figure, tag, n_samples)),
+                                 F1_CELL_SIZE)
+    taus, counts = np.unique(hist.return_times, return_counts=True)
+    return {
+        "returns": int(hist.return_times.size),
+        "occupied_bins": hist.occupied_bins,
+        "insufficient": hist.insufficient,
+        "quasi_periodic": hist.quasi_periodic,
+        "rows": [[int(t), int(c)] for t, c in zip(taus, counts)],
+        "mu_fit": hist.mu_fit,
+        "mean_tau": hist.mean_tau,
+        "fit_quality": hist.fit_quality,
+    }
+
+
+def lyap_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
+    """The default lyap scan of a figure run simulated over n_samples."""
+    scan = lyapunov_scan(_cut_run(figure, tag, n_samples))
     curves = []
     for c in scan.curves:
         s_at = dict(zip(c.t_offsets.tolist(), c.s_values.tolist()))
@@ -68,12 +101,26 @@ def lyap_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
     }
 
 
-def compute() -> dict:
-    return {"lyap": {name: lyap_fingerprint(*run) for name, run in LYAP_RUNS.items()}}
+SLICES = {"lyap": (lyap_fingerprint, LYAP_RUNS), "f1": (f1_fingerprint, F1_RUNS)}
+
+
+def compute(slice_name: str) -> dict:
+    fingerprint, runs = SLICES[slice_name]
+    return {name: fingerprint(*run) for name, run in runs.items()}
 
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=FLOAT_RTOL, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(F1_RUNS))
+def test_f1_histogram_matches_fingerprint(name):
+    expected = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["f1"][name]
+    got = f1_fingerprint(*F1_RUNS[name])
+    for key in ("returns", "occupied_bins", "insufficient", "quasi_periodic", "rows"):
+        assert got[key] == expected[key], key
+    for key in ("mu_fit", "mean_tau", "fit_quality"):
+        assert _close(got[key], expected[key]), key
 
 
 @pytest.mark.parametrize("name", sorted(LYAP_RUNS))
@@ -98,8 +145,12 @@ def test_lyap_scan_matches_fingerprint(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write   (regenerates {FINGERPRINTS.name})")
+    names = sys.argv[2:]
+    if sys.argv[1:2] != ["--write"] or not names or not set(names) <= SLICES.keys():
+        sys.exit(f"usage: {sys.argv[0]} --write {'|'.join(SLICES)} ...   "
+                 f"(regenerates those slices of {FINGERPRINTS.name})")
+    data = json.loads(FINGERPRINTS.read_text(encoding="utf-8")) if FINGERPRINTS.exists() else {}
+    data.update({name: compute(name) for name in names})
     FINGERPRINTS.parent.mkdir(exist_ok=True)
-    FINGERPRINTS.write_text(json.dumps(compute(), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {FINGERPRINTS}")
+    FINGERPRINTS.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {', '.join(names)} to {FINGERPRINTS}")

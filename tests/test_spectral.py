@@ -51,6 +51,9 @@ from qnldyn.morse import (
 )
 from qnldyn.series import SamplingPlan
 
+# Every test here is rerun on numpy's baseline (non-SIMD) kernels in CI.
+pytestmark = pytest.mark.baseline_kernels
+
 
 def long_plan(t_start: float, dt: float, levels: int) -> SamplingPlan:
     """A plan crossing two kernel block boundaries for this many levels."""

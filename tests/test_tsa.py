@@ -148,6 +148,19 @@ def test_insufficient_returns_are_flagged():
     assert hist.fit_quality is None
 
 
+@pytest.mark.parametrize("repeats", [1, 4])
+def test_occupied_bins_count_fit_bins_at_any_number_of_returns(repeats):
+    # gaps 5, 6, 300: the fit bins are 8 samples wide, so 5 and 6 share one
+    # whether 3 returns were recorded (insufficient) or 12
+    gaps = np.tile([5, 6, 300], repeats)
+    values = np.ones(gaps.sum() + 5)
+    values[np.concatenate(([0], np.cumsum(gaps)))] = 0.0
+    hist = return_time_histogram(TimeSeries(values, 1.0), 0.5)
+    assert hist.return_times.tolist() == gaps.tolist()
+    assert hist.insufficient is (repeats == 1)
+    assert hist.occupied_bins == 2
+
+
 def test_never_returning_series_raises():
     series = TimeSeries(np.linspace(0.0, 1.0, 100), 1.0)
     with pytest.raises(ValueError, match="never returned"):
@@ -315,6 +328,7 @@ def _lexsort_line_lengths(rec, l_min=2):
     return lengths[lengths >= l_min]
 
 
+@pytest.mark.baseline_kernels
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 400),
@@ -398,9 +412,10 @@ def test_auto_window_stops_before_saturation():
     t = np.arange(200)
     s = np.minimum(0.1 * t, 5.0) - 8.0
     curve = LyapunovCurve(t, s, 0.05, 3, 1, 6, 1.0, 50)
-    lo, hi = auto_fit_window(curve)
+    (lo, hi), clamped = auto_fit_window(curve)
     assert lo == 1
     assert hi <= 60  # the rise ends at t = 50
+    assert not clamped
     assert abs(fit_slope(curve, (lo, hi)) - 0.1) < 1e-9
 
 
@@ -409,18 +424,20 @@ def test_auto_window_flat_curve_reports_no_rise():
     rng = np.random.default_rng(1)
     s = -3.0 + 0.01 * rng.standard_normal(120)
     curve = LyapunovCurve(t, s, 0.05, 3, 1, 6, 1.0, 50)
-    lo, hi = auto_fit_window(curve)
+    (lo, hi), clamped = auto_fit_window(curve)
     assert (lo, hi) == (1, 120)  # whole-curve fit, slope near zero
+    assert not clamped
     assert abs(fit_slope(curve, (lo, hi))) < 5e-4
 
 
 def test_fitted_attaches_window_and_slope():
     t = np.arange(50)
-    curve = LyapunovCurve(t, 0.3 * t - 9.0, 0.05, 3, 1, 6, 1.0, 50)
-    out = fitted(curve, (0, 50))
-    assert out.fit_window == (0, 50)
-    assert out.fit_window_clamped is False
-    assert abs(out.lambda_max - 0.3) < 1e-12
+    curve = LyapunovCurve(t, 0.3 * t - 9.0, 0.05, 3, 1, 6, 0.5, 50)
+    out = fitted(curve)
+    assert (out.fit_window, out.fit_window_clamped) == auto_fit_window(curve)
+    assert out.fit_window[0] == 1
+    assert out.lambda_max == fit_slope(curve, out.fit_window)
+    assert abs(out.lambda_max - 0.6) < 1e-12  # 0.3 per sample at dt = 0.5
 
 
 @pytest.mark.parametrize("rise_samples, clamped", [(2, True), (3, True), (4, False), (20, False)])
@@ -431,7 +448,7 @@ def test_fitted_flags_a_window_clamped_to_its_floor(rise_samples, clamped):
     s = np.minimum(t / rise_samples, 1.0) * 3.0 - 5.0
     curve = LyapunovCurve(t, s, 0.05, 3, 1, 6, 1.0, 50)
     out = fitted(curve)
-    assert out.fit_window == auto_fit_window(curve)
+    assert (out.fit_window, out.fit_window_clamped) == auto_fit_window(curve)
     assert out.fit_window_clamped is clamped
     if clamped:
         assert out.fit_window == (1, 5)
@@ -492,7 +509,8 @@ def test_n_references_counts_only_references_with_neighbors():
     idx = np.arange(usable)
     close &= np.abs(idx[:, None] - idx[None, :]) > theiler
     expected = int(np.count_nonzero(close.any(axis=1)))
-    curve = lyapunov_curve(emb, eps, theiler=theiler, t_max=t_max, n_ref=usable)
+    assert usable <= lyapunov.N_REFERENCES  # so every usable point is a reference
+    curve = lyapunov_curve(emb, eps, theiler=theiler, t_max=t_max)
     assert 0 < curve.n_references < usable
     assert curve.n_references == expected
 
@@ -522,19 +540,6 @@ def _logistic_embedding():
     return delay_embed(normalize_series(logistic_series(2000)), 2, 1)
 
 
-@pytest.mark.parametrize("option", [
-    {"n_ref": 0}, {"n_ref": -3}, {"max_neighbors": 0}, {"max_neighbors": -3},
-], ids=["n_ref_0", "n_ref_negative", "max_neighbors_0", "max_neighbors_negative"])
-def test_curve_rejects_non_positive_counts(option):
-    emb = _logistic_embedding()
-    name = next(iter(option))
-    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-        lyapunov_curve(emb, 0.05, theiler=2, t_max=20, **option)
-    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-        lyapunov_scan(logistic_series(2000), m_values=(2,), epsilons=(0.05,), t_max=20,
-                      **option)
-
-
 @pytest.mark.parametrize("n_indexed", [1999, 500], ids=["all_points", "first_500"])
 def test_curve_rejects_a_tree_over_other_points(n_indexed):
     # all 1999 points would index futures past the track; the first 500
@@ -545,6 +550,7 @@ def test_curve_rejects_a_tree_over_other_points(n_indexed):
         lyapunov_curve(emb, 0.05, theiler=2, t_max=20, tree=tree)
 
 
+@pytest.mark.baseline_kernels
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(1, 64), data=st.data())
 def test_thin_positions_equal_linspace(k, data):
@@ -554,6 +560,13 @@ def test_thin_positions_equal_linspace(k, data):
     for n, row in zip(sizes, pos):
         assert np.array_equal(row, np.linspace(0, n - 1, k).astype(np.int64))
         assert np.all(np.diff(row) > 0)  # so np.unique would keep every position
+
+
+def _counts(n_ref, max_neighbors, **more):
+    """Context in which curves take n_ref references and follow at most
+    max_neighbors neighbors each."""
+    return mock.patch.multiple(lyapunov, N_REFERENCES=n_ref, MAX_NEIGHBORS=max_neighbors,
+                               **more)
 
 
 def _curve_per_radius_tree(emb, epsilon, theiler, t_max, n_ref=2000, max_neighbors=64):
@@ -629,13 +642,15 @@ def assert_same_curve(curve, expected):
     assert curve.lambda_max == expected.lambda_max
 
 
-def assert_scan_matches_oracle(series, m_values, epsilons, **kwargs):
-    curves, by_m = _scan_per_radius_tree(series, m_values, epsilons, **kwargs)
-    if not curves:
-        with pytest.raises(NeighborhoodError):
-            lyapunov_scan(series, m_values, epsilons, **kwargs)
-        return
-    scan = lyapunov_scan(series, m_values, epsilons, **kwargs)
+def assert_scan_matches_oracle(series, m_values, epsilons, n_ref, max_neighbors, **kwargs):
+    curves, by_m = _scan_per_radius_tree(series, m_values, epsilons, n_ref=n_ref,
+                                         max_neighbors=max_neighbors, **kwargs)
+    with _counts(n_ref, max_neighbors):
+        if not curves:
+            with pytest.raises(NeighborhoodError):
+                lyapunov_scan(series, m_values, epsilons, **kwargs)
+            return
+        scan = lyapunov_scan(series, m_values, epsilons, **kwargs)
     assert len(scan.curves) == len(curves)
     for curve, expected in zip(scan.curves, curves):
         assert_same_curve(curve, expected)
@@ -645,14 +660,17 @@ def assert_scan_matches_oracle(series, m_values, epsilons, **kwargs):
     assert scan.spread == max(lams) - min(lams)
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize(
     "series", [logistic_series(4000), sine_series(4000)], ids=["logistic", "sine"]
 )
 def test_scan_equals_per_radius_tree_oracle(series):
     # max_neighbors = 8 makes most neighborhoods thin
-    assert_scan_matches_oracle(series, (2, 3, 4), (0.01, 0.02, 0.05), max_neighbors=8)
+    assert_scan_matches_oracle(series, (2, 3, 4), (0.01, 0.02, 0.05), n_ref=2000,
+                               max_neighbors=8)
 
 
+@pytest.mark.baseline_kernels
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(40, 600),
@@ -673,16 +691,17 @@ def test_curve_with_shared_tree_equals_oracle_on_random_clouds(
     try:
         expected = _curve_per_radius_tree(emb, epsilon, theiler, t_max, n_ref, max_neighbors)
     except NeighborhoodError:
-        with pytest.raises(NeighborhoodError):
-            lyapunov_curve(emb, epsilon, theiler, t_max, n_ref, max_neighbors)
+        with pytest.raises(NeighborhoodError), _counts(n_ref, max_neighbors):
+            lyapunov_curve(emb, epsilon, theiler, t_max)
         return
-    own = lyapunov_curve(emb, epsilon, theiler, t_max, n_ref, max_neighbors)
-    shared = lyapunov_curve(emb, epsilon, theiler, t_max, n_ref, max_neighbors,
-                            tree=cKDTree(points[:usable]))
+    with _counts(n_ref, max_neighbors):
+        own = lyapunov_curve(emb, epsilon, theiler, t_max)
+        shared = lyapunov_curve(emb, epsilon, theiler, t_max, tree=cKDTree(points[:usable]))
     assert_same_curve(own, expected)
     assert_same_curve(shared, expected)
 
 
+@pytest.mark.baseline_kernels
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(80, 500),
@@ -697,10 +716,11 @@ def test_scan_equals_oracle_on_random_series(
     n, m_values, epsilons, theiler, t_max, max_neighbors, seed
 ):
     series = TimeSeries(np.random.default_rng(seed).random(n), 1.0)
-    assert_scan_matches_oracle(series, tuple(m_values), tuple(epsilons), theiler=theiler,
-                               t_max=t_max, n_ref=100, max_neighbors=max_neighbors)
+    assert_scan_matches_oracle(series, tuple(m_values), tuple(epsilons), n_ref=100,
+                               max_neighbors=max_neighbors, theiler=theiler, t_max=t_max)
 
 
+@pytest.mark.baseline_kernels
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(40, 400),
@@ -723,8 +743,8 @@ def test_curve_equals_oracle_across_query_blocks(
         expected = _curve_per_radius_tree(emb, epsilon, theiler, t_max, n, max_neighbors)
     except NeighborhoodError:
         return
-    with mock.patch.object(lyapunov, "_QUERY_BLOCK", block):
-        curve = lyapunov_curve(emb, epsilon, theiler, t_max, n, max_neighbors)
+    with _counts(n, max_neighbors, _QUERY_BLOCK=block):
+        curve = lyapunov_curve(emb, epsilon, theiler, t_max)
     assert_same_curve(curve, expected)
 
 
@@ -758,7 +778,8 @@ def test_neighbor_lists_are_held_one_block_at_a_time():
         held = tracemalloc.get_traced_memory()[0]
         del all_lists
         tracemalloc.reset_peak()
-        lyapunov_curve(emb, eps, theiler=2, t_max=t_max, n_ref=n, tree=tree)
+        with mock.patch.object(lyapunov, "N_REFERENCES", n):
+            lyapunov_curve(emb, eps, theiler=2, t_max=t_max, tree=tree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -777,11 +798,30 @@ def test_scan_rejects_a_repeated_grid_value(grid):
 
 def test_scan_rejects_t_max_without_two_usable_points():
     series = logistic_series(200)
+    n_points = len(series) - autocorr_delay(normalize_series(series))  # embedded at m = 2
     with pytest.raises(ValueError, match="fewer than two usable points"):
-        lyapunov_scan(series, m_values=(2,), delay=1, t_max=198)
-    scan = lyapunov_scan(series, m_values=(2,), epsilons=(2.0,), delay=1, theiler=0,
-                         t_max=197)
+        lyapunov_scan(series, m_values=(2,), t_max=n_points - 1)
+    scan = lyapunov_scan(series, m_values=(2,), epsilons=(2.0,), theiler=0,
+                         t_max=n_points - 2)
     assert scan.curves[0].n_references == 2
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"m_values": (3, 0)}, "m must be >= 1"),
+    ({"epsilons": (0.01, 0.02, 0.04, 0)}, "epsilon must be positive"),
+    ({"epsilons": (0.01, -0.01)}, "epsilon must be positive"),
+    ({"theiler": -1}, "theiler must be >= 0"),
+    ({"t_max": 2}, "t_max must be >= 3"),
+    ({"t_max": -5}, "t_max must be >= 3"),
+], ids=["m_0", "epsilon_0", "epsilon_negative", "theiler_negative", "t_max_2", "t_max_negative"])
+def test_scan_rejects_a_bad_setting_before_any_work(monkeypatch, setting, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scan started work before rejecting a setting")
+
+    for name in ("normalize_series", "autocorr_delay", "cKDTree"):
+        monkeypatch.setattr(lyapunov, name, no_work)
+    with pytest.raises(ValueError, match=message):
+        lyapunov_scan(logistic_series(2000), **setting)
 
 
 # ---------------------------------------------------------------- synthetic
