@@ -1,14 +1,16 @@
-"""Output fingerprints: pinned analysis results of cut-down figure runs.
+"""Output fingerprints: pinned series and analysis results of cut-down runs.
 
 A change that should leave outputs alone is checked here against numbers
 committed in tests/data/fingerprints.json.  Counts, windows and offsets are
-compared exactly.  Floats are compared at FLOAT_RTOL relative, because
-np.log may differ in its last bit from one CPU to another.
+compared exactly.  Analysis floats are compared at FLOAT_RTOL relative,
+because np.log may differ in its last bit from one CPU to another.  Series
+values are compared at SERIES_ATOL absolute, the tolerance every series
+holds against the direct single-time path.
 
 Each regeneration of a slice is a test-data change with a cause (for
 example, a fix that moves lambda on purpose); the slices not named are kept:
 
-    PYTHONPATH=src python tests/test_fingerprints.py --write lyap|f1 ...
+    PYTHONPATH=src python tests/test_fingerprints.py --write series|lyap|f1 ...
 """
 
 import json
@@ -45,6 +47,48 @@ F1_CELL_SIZE = 0.01
 #: Offsets at which S(t) is pinned: the knee, the rise and the plateau.
 S_OFFSETS = (0, 1, 2, 3, 4, 5, 6, 8, 12, 20, 35, 60, 100, 200, 400, 600)
 
+SERIES_ATOL = 1e-9
+
+#: Samples each series run is cut to, and the evenly spaced indices pinned.
+SERIES_SAMPLES = 20000
+SERIES_POINTS = 64
+
+#: Run texts pinned beside the figure runs: the fidelity of the even cat
+#: state, an odd moment (imaginary bands) of an ell = 3 superposition, and
+#: the morse chain of the benchmark.
+_KERR_CFG = """\
+system = kerr
+observable = {observable}
+t_start = 37.25
+dt = 0.008
+n_samples = 100000
+kerr.chi = 1.0
+kerr.chi_prime_ratio = 1e-3
+kerr.alpha_sq = 25
+kerr.ell = {ell}
+"""
+
+_MORSE_CFG = """\
+system = morse
+observable = x
+t_start = 412.5
+dt = 0.01
+n_samples = 100000
+morse.preset = default
+morse.alpha = 0.4
+morse.ell = 2
+"""
+
+#: Run name -> run text: the series runs, cut to SERIES_SAMPLES.
+SERIES_RUNS = {
+    **{f"{figure}-{tag}-n{SERIES_SAMPLES}": FIGURES[figure].runs[tag]
+       for figure, tag in [("fig3", "kerr-coherent-25"), ("fig3", "kerr-even-25"),
+                           ("fig7", "bjj-pi-u50"), ("fig11", "bjj-even-u50")]},
+    f"kerr-fidelity-l2-n{SERIES_SAMPLES}": _KERR_CFG.format(observable="fidelity", ell=2),
+    f"kerr-p3-l3-n{SERIES_SAMPLES}": _KERR_CFG.format(observable="p^3", ell=3),
+    f"morse-x-l2-n{SERIES_SAMPLES}": _MORSE_CFG,
+}
+
 
 def _runs(offsets: np.ndarray) -> list[list[int]]:
     """Offsets as [start, stop) runs of consecutive values."""
@@ -52,12 +96,23 @@ def _runs(offsets: np.ndarray) -> list[list[int]]:
     return [[int(part[0]), int(part[-1]) + 1] for part in np.split(offsets, breaks)]
 
 
+def _cut_text(text: str, label: str, n_samples: int):
+    """The series of a run text simulated over n_samples."""
+    text, found = re.subn(r"(?m)^n_samples = \d+$", f"n_samples = {n_samples}", text)
+    assert found == 1, f"{label} has no n_samples line to cut down"
+    return run_simulation(parse_config_text(text, label))
+
+
 def _cut_run(figure: str, tag: str, n_samples: int):
     """The series of a figure run simulated over n_samples."""
-    text, found = re.subn(r"(?m)^n_samples = \d+$", f"n_samples = {n_samples}",
-                          FIGURES[figure].runs[tag])
-    assert found == 1, f"{figure}:{tag} has no n_samples line to cut down"
-    return run_simulation(parse_config_text(text, f"{figure}:{tag}"))
+    return _cut_text(FIGURES[figure].runs[tag], f"{figure}:{tag}", n_samples)
+
+
+def series_fingerprint(text: str) -> dict:
+    """SERIES_POINTS evenly spaced values of a run text cut to SERIES_SAMPLES."""
+    values = _cut_text(text, "series run", SERIES_SAMPLES).values
+    indices = np.linspace(0, values.size - 1, SERIES_POINTS).round().astype(np.int64)
+    return {"indices": indices.tolist(), "values": values[indices].tolist()}
 
 
 def f1_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
@@ -101,7 +156,8 @@ def lyap_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
     }
 
 
-SLICES = {"lyap": (lyap_fingerprint, LYAP_RUNS), "f1": (f1_fingerprint, F1_RUNS)}
+SLICES = {"series": (series_fingerprint, {name: (text,) for name, text in SERIES_RUNS.items()}),
+          "lyap": (lyap_fingerprint, LYAP_RUNS), "f1": (f1_fingerprint, F1_RUNS)}
 
 
 def compute(slice_name: str) -> dict:
@@ -111,6 +167,14 @@ def compute(slice_name: str) -> dict:
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=FLOAT_RTOL, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_RUNS))
+def test_series_matches_fingerprint(name):
+    expected = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["series"][name]
+    got = series_fingerprint(SERIES_RUNS[name])
+    assert got["indices"] == expected["indices"]
+    np.testing.assert_allclose(got["values"], expected["values"], rtol=0.0, atol=SERIES_ATOL)
 
 
 @pytest.mark.parametrize("name", sorted(F1_RUNS))
