@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from warnings import warn
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.special import gammaln
 
 from .series import SamplingPlan, TimeSeries
 from .spectral import check_normalized, sample
@@ -120,6 +118,8 @@ class BJJOperatorSet:
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
+            from scipy.linalg import eigh
+
             energies, vectors = eigh(self.hamiltonian)
             self._eig = (energies, vectors)
         return self._eig
@@ -147,6 +147,8 @@ def su2_coherent(theta: float, phi: float, n_atoms: int) -> SpinState:
     if theta == np.pi:
         amps[-1] = 1.0
         return SpinState(amps)
+    from scipy.special import gammaln
+
     k = np.arange(dim, dtype=float)  # k = l + m
     log_mag = k * np.log(np.tan(theta / 2.0)) + 0.5 * (
         gammaln(n_atoms + 1.0) - gammaln(k + 1.0) - gammaln(n_atoms - k + 1.0)

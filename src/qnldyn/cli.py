@@ -10,7 +10,8 @@ the command prints.  A `repro` figure is a FIGURES entry: run-file texts,
 parsed as `simulate` parses a run file, and the analysis step for them.
 
 Each command imports the system or analysis module it uses when it runs,
-so start-up loads no scipy and `analyze f1` never does.
+so start-up loads no scipy, and neither `analyze f1` nor kerr `simulate`
+ever does.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ never touch an explicit factorial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import NumericalContractError, TruncationError
 from .spectral import IMAG_TOL, check_normalized
@@ -62,11 +62,31 @@ class SuperpositionSpec:
             raise ValueError("norm_const must be positive")
 
 
+def log_factorial(n: np.ndarray) -> np.ndarray:
+    """log n! for each entry of a 1-d array of non-negative integers."""
+    return np.array([math.lgamma(k + 1.0) for k in np.asarray(n).tolist()], dtype=float)
+
+
+def _poisson_tails(first: int, count: int, mean: float) -> np.ndarray:
+    """P(N > k) for k = first .. first + count - 1, N Poisson with mean > 0.
+
+    Each tail is a sum of pmf terms exp(n log mean - mean - log n!), added
+    from the far end, where above the mode they are smallest, so a tail
+    keeps the relative error of its terms however small it is.  The terms
+    stop 12 sqrt(mean) + 60 levels above the mean or the last k, whichever
+    is higher; the pmf there is below e^-70 of its value at that level.
+    """
+    top = max(first + count, math.ceil(mean)) + math.ceil(12.0 * math.sqrt(mean) + 60.0)
+    n = np.arange(first + 1, top + 1)
+    pmf = np.exp(n * math.log(mean) - mean - log_factorial(n))
+    return np.cumsum(pmf[::-1])[::-1][:count]
+
+
 def poisson_tail(cutoff: int, mean: float) -> float:
     """P(N > cutoff) for a Poisson variable with the given mean."""
     if mean <= 0.0:
         return 0.0
-    return float(gammainc(cutoff + 1.0, mean))
+    return float(_poisson_tails(cutoff, 1, mean)[0])
 
 
 def choose_cutoff(alpha: complex) -> int:
@@ -81,12 +101,10 @@ def choose_cutoff(alpha: complex) -> int:
         return 8
     lo = int(np.floor(mean))
     span = int(np.ceil(20.0 * np.sqrt(mean) + 40.0))
-    candidates = np.arange(lo, lo + span)
-    tails = gammainc(candidates + 1.0, mean)
-    hit = np.nonzero(tails < TAIL_BOUND)[0]
+    hit = np.nonzero(_poisson_tails(lo, span, mean) < TAIL_BOUND)[0]
     if hit.size == 0:  # pragma: no cover - span is generous
         raise TruncationError(f"no admissible cutoff below {lo + span}")
-    n0 = int(candidates[hit[0]])
+    n0 = lo + int(hit[0])
     return max(int(np.ceil(1.5 * n0)), 8)
 
 
@@ -114,7 +132,7 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
         return FockVector(amps)
-    logmag = -0.5 * mean + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
+    logmag = -0.5 * mean + n * np.log(abs(alpha)) - 0.5 * log_factorial(n)
     phase = n * np.angle(alpha)
     return FockVector(np.exp(logmag + 1j * phase))
 

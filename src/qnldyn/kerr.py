@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln
 
-from .fock import SQRT2, FockVector, check_headroom, choose_cutoff
+from .fock import SQRT2, FockVector, check_headroom, choose_cutoff, log_factorial
 from .series import SamplingPlan, TimeSeries
 from .spectral import check_normalized, sample
 
@@ -77,7 +75,7 @@ def xsq_closed_form(alpha: complex, params: KerrParams, t, cutoff: int | None = 
         weights = np.zeros(cutoff + 1)
         weights[0] = 1.0
     else:
-        weights = np.exp(-mean + n * np.log(mean) - gammaln(n + 1.0))
+        weights = np.exp(-mean + n * np.log(mean) - log_factorial(n))
     freq = 2.0 * (2.0 * n + 1.0) * params.chi + 6.0 * n**2 * params.chi_prime
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     osc = np.exp(-1j * np.outer(t_arr, freq)) @ weights
@@ -99,6 +97,35 @@ def parse_observable(observable: str) -> tuple[str, int]:
     raise ValueError(f"unknown observable {observable!r}")
 
 
+def _band_product(left: dict, right: dict, levels: int) -> dict:
+    """The {offset: diagonal} bands of left @ right, both given by their bands."""
+    out = {}
+    for d1, b1 in left.items():
+        for d2, b2 in right.items():
+            d = d1 + d2
+            lo, hi = max(0, -d1, -d), min(levels, levels - d1, levels - d)
+            if lo >= hi:
+                continue
+            # Row r of a band at offset k is its diagonal entry r + min(0, k); row i of
+            # the product takes row i of left and row i + d1 of right.
+            term = (b1[lo + min(0, d1): hi + min(0, d1)]
+                    * b2[lo + d1 + min(0, d2): hi + d1 + min(0, d2)])
+            target = out.setdefault(d, np.zeros(levels - abs(d), dtype=complex))
+            target[lo + min(0, d): hi + min(0, d)] += term
+    return out
+
+
+def _quadrature_bands(axis: str, order: int, levels: int) -> dict:
+    """x^order or p^order on the first `levels` number states, as {offset: diagonal}."""
+    root = np.sqrt(np.arange(1, levels)) / SQRT2
+    # x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2); a sits above the diagonal
+    quad = {1: root + 0j, -1: root + 0j} if axis == "x" else {1: -1j * root, -1: 1j * root}
+    op = quad
+    for _ in range(order - 1):
+        op = _band_product(op, quad, levels)
+    return op
+
+
 def kerr_series(
     state: FockVector,
     params: KerrParams,
@@ -108,22 +135,15 @@ def kerr_series(
     """Sample <x^k>, <p^k>, or the survival probability along a time grid.
 
     Fidelity is the survival probability |sum_n |C_n|^2 e^{-i theta_n t}|^2.
-    Moments contract the evolved amplitudes with x^k or p^k, built once as
-    a banded sparse matrix on the number basis padded by k levels.
+    Moments contract the evolved amplitudes with x^k or p^k, built once in
+    banded form ({offset: diagonal}) on the number basis padded by k levels.
     """
     kind, order = parse_observable(observable)
     amps, op = state.amplitudes, None
     if kind != "fidelity":
         check_headroom(amps, order)
         amps = np.concatenate([amps, np.zeros(order, dtype=complex)])
-        root = np.sqrt(np.arange(1, amps.size)) / SQRT2
-        # x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2); a sits above the diagonal
-        bands = [root, root] if kind == "x" else [-1j * root, 1j * root]
-        quad = sparse.diags_array(bands, offsets=[1, -1], dtype=complex)
-        op = quad
-        for _ in range(order - 1):
-            op = op @ quad
-        op = sparse.csr_array(op)
+        op = _quadrature_bands(kind, order, amps.size)
     theta = level_phases(params, amps.size - 1)
     model = {
         "chi": repr(params.chi),

@@ -18,7 +18,6 @@ from fractions import Fraction
 from warnings import warn
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import GridResolutionError, TruncationError
 from .series import SamplingPlan, TimeSeries
@@ -182,6 +181,8 @@ def build_eigenbasis(
     space.  Trapezoid overlaps must reproduce the identity to 1e-6, else
     the grid is rejected.
     """
+    from scipy.special import eval_genlaguerre, gammaln
+
     if grid is None:
         grid = default_grid(params)
     grid = np.asarray(grid, dtype=float)
@@ -279,6 +280,8 @@ class MorseState:
 
 def _annihilation_weights(alpha: complex, params: MorseParams, n_prime: int):
     """Unnormalized packet coefficients d_n over n = 0 .. n_max."""
+    from scipy.special import gammaln
+
     lam = params.lam
     n = np.arange(params.n_max + 1, dtype=float)
     k = n_prime - n

@@ -55,15 +55,29 @@ anti-Hermitian parts.  z^H H z is real and z^H N z is imaginary, so
 with H = A + iB: A real symmetric, B real antisymmetric, so K is real
 symmetric.  Expanding, V^T K V = C^T A C + S^T A S + S^T B C - C^T B S;
 the cross terms of the imaginary part, C^T A S - S^T A C and C^T B C +
-S^T B S, vanish by the same symmetries.  K is built once per series; a
-block is then one real product K V (sparse stays sparse) and one
-column-wise dot.  The survival amplitude sum_n p_n z_n is p C + i p S: two
-real products.
+S^T B S, vanish by the same symmetries.  K is built once per series.  For
+a dense operator a block is then one real product K V and one column-wise
+dot.  A banded operator, given as {d: np.diagonal(O, d)}, is restricted to
+the occupied levels with its entries regrouped by their new offsets, and
+works per diagonal pair +-d.  With h_d = A_d + i B_d the Hermitian part's
+diagonal d >= 0, the symmetries give
+
+    V^T K V = sum_d w_d sum_i [A_d,i (C_i C_i+d + S_i S_i+d)
+                               + B_d,i (S_i C_i+d - C_i S_i+d)],
+
+w_0 = 1 and w_d = 2 otherwise (B_0 = 0).  On the halves of V stacked as
+(2, levels, times) each part is one slice product, of V[:, :L-d] (or
+its halves swapped, for B) with V[:, d:], and one dot with the weights
+w_d [A_d, A_d] or w_d [B_d, -B_d]; an all-zero part is skipped, so the
+real x^k of a real state never forms a B product.  The survival
+amplitude sum_n p_n z_n is p C + i p S: two real products.
 
 Hermiticity.  Since |z_n| = 1, |z^H N z| <= sum |N_jk| = sum |M - M^H|/2
 at every t.  That bound is checked once, on the operator, against
 IMAG_TOL max(1, sum |M|): relative to the size of the terms, because an
-absolute gate falls below one rounding of <O> once <O> is large.
+absolute gate falls below one rounding of <O> once <O> is large.  For a
+banded operator both sums run per diagonal pair: M - M^H has the diagonals
+m_d - conj(m_-d) and their conjugates at -d.
 """
 
 from __future__ import annotations
@@ -136,35 +150,98 @@ def _phase_blocks(energies, times):
 
 
 def _real_form(op, coeffs):
-    """(K, anti-Hermitian bound, sum |M|) for M = diag(c*) op diag(c).
+    """(K, anti-Hermitian bound, sum |M|) for M = diag(c*) op diag(c), op dense.
 
-    K = [[A, -B], [B, A]] from the Hermitian part A + iB of M, stored as
-    op is: a scipy.sparse operator gives a CSR K, anything else a dense one.
+    K = [[A, -B], [B, A]] from the Hermitian part A + iB of M.
     """
-    is_sparse = hasattr(op, "tocsr")
-    if is_sparse:
-        from scipy import sparse  # the caller's operator already loaded it
-
-        c = sparse.diags_array(coeffs)
-        m = (c.conj() @ op @ c).tocsr()
-    else:
-        m = np.conj(coeffs)[:, None] * np.asarray(op) * coeffs
+    m = np.conj(coeffs)[:, None] * np.asarray(op) * coeffs
     adjoint = m.conj().T
     bound = 0.5 * float(abs(m - adjoint).sum())
     herm = 0.5 * (m + adjoint)
-    grid = [[herm.real, -herm.imag], [herm.imag, herm.real]]
-    form = sparse.block_array(grid, format="csr") if is_sparse else np.block(grid)
+    form = np.block([[herm.real, -herm.imag], [herm.imag, herm.real]])
     return form, bound, float(abs(m).sum())
+
+
+def _restrict(bands, keep, levels):
+    """The bands of op[keep][:, keep], op given by its {offset: diagonal} bands.
+
+    Entries between two kept levels are regrouped by their new offset, and
+    a diagonal left with no entry is dropped: on an ell-sublattice state the
+    offsets that are not multiples of ell go.  ValueError when a diagonal
+    does not have the levels - |offset| entries of np.diagonal(op, offset).
+    """
+    pos = np.full(levels, -1)
+    pos[keep] = np.arange(keep.size)
+    out = {}
+    for offset, band in bands.items():
+        band = np.asarray(band, dtype=complex)
+        if band.shape != (max(0, levels - abs(offset)),):
+            raise ValueError(f"diagonal {offset} of a {levels}-level operator needs "
+                             f"{max(0, levels - abs(offset))} entries, not shape {band.shape}")
+        if band.size == 0:
+            continue
+        rows = pos[max(0, -offset): levels - max(0, offset)]
+        cols = pos[max(0, offset): levels - max(0, -offset)]
+        both = (rows >= 0) & (cols >= 0)
+        rows, cols, band = rows[both], cols[both], band[both]
+        for new in np.unique(cols - rows).tolist():
+            at = cols - rows == new
+            diagonal = out.setdefault(new, np.zeros(keep.size - abs(new), dtype=complex))
+            diagonal[np.minimum(rows[at], cols[at])] = band[at]
+    return out
+
+
+def _banded_form(bands, coeffs):
+    """(terms, anti-Hermitian bound, sum |M|) for M = diag(c*) op diag(c), op banded.
+
+    M has diagonals m_d, and its Hermitian part h_d = (m_d + conj(m_-d))/2
+    = A_d + i B_d on d >= 0 stands for the offsets d and -d.  Each term
+    (d, weights, swap) holds 1 or 2 (d = 0 or not) times [A_d, A_d], or
+    [B_d, -B_d] with swap set; all-zero weights are left out (module
+    docstring, Contraction).
+    """
+    levels = coeffs.size
+    m = {}
+    for d, band in bands.items():
+        lo = max(0, -d)
+        m[d] = np.conj(coeffs[lo: lo + band.size]) * band * coeffs[lo + d: lo + d + band.size]
+    bound = 0.0
+    terms = []
+    for d in sorted({abs(d) for d in m}):
+        zero = np.zeros(levels - d, dtype=complex)
+        upper, lower = m.get(d, zero), m.get(-d, zero)
+        share = 1.0 if d == 0 else 2.0
+        bound += 0.5 * share * float(np.abs(upper - np.conj(lower)).sum())
+        herm = 0.5 * share * (upper + np.conj(lower))
+        if np.any(herm.real):
+            terms.append((d, np.concatenate([herm.real, herm.real]), False))
+        if np.any(herm.imag):
+            terms.append((d, np.concatenate([herm.imag, -herm.imag]), True))
+    return terms, bound, float(sum(np.abs(band).sum() for band in m.values()))
+
+
+def _contract(form, block):
+    """V^T K V for each column V of block, K dense or as banded terms."""
+    if isinstance(form, np.ndarray):
+        return np.einsum("ij,ij->j", block, form @ block)
+    halves = block.reshape(2, -1, block.shape[1])  # C and S
+    levels = halves.shape[1]
+    out = np.zeros(block.shape[1])
+    for d, weights, swap in form:
+        first = halves[::-1, : levels - d] if swap else halves[:, : levels - d]
+        out += weights @ (first * halves[:, d:]).reshape(2 * (levels - d), -1)
+    return out
 
 
 def expectation_series(energies, coeffs, op, times) -> np.ndarray:
     """<psi(t)|op|psi(t)> at each time, psi(t) = sum_n c_n e^{-i E_n t} |n>.
 
-    op acts on the eigenbasis through `@`, so a dense array and a
-    scipy.sparse matrix both work.  op must be Hermitian: when the bound
-    sum |M - M^H|/2 on the imaginary residue exceeds IMAG_TOL max(1,
-    sum |M|), M = diag(c*) op diag(c), NumericalContractError is raised.
-    Levels with c_n == 0 are dropped first; all-zero coeffs give zeros.
+    op is a dense array on the eigenbasis, or a banded operator given as
+    {offset: np.diagonal(op, offset)} for its nonzero diagonals.  op must
+    be Hermitian: when the bound sum |M - M^H|/2 on the imaginary residue
+    exceeds IMAG_TOL max(1, sum |M|), M = diag(c*) op diag(c),
+    NumericalContractError is raised.  Levels with c_n == 0 are dropped
+    first; all-zero coeffs give zeros.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     keep = np.flatnonzero(coeffs)
@@ -173,15 +250,17 @@ def expectation_series(energies, coeffs, op, times) -> np.ndarray:
     vals = np.zeros(times.size)
     if keep.size == 0:
         return vals
-    form, bound, size = _real_form(op[keep][:, keep], coeffs[keep])
+    if isinstance(op, dict):
+        form, bound, size = _banded_form(_restrict(op, keep, coeffs.size), coeffs[keep])
+    else:
+        form, bound, size = _real_form(op[keep][:, keep], coeffs[keep])
     if bound > IMAG_TOL * max(1.0, size):
         raise NumericalContractError(
             f"expectation series has imaginary residue up to {bound:.3e} "
             f"> {IMAG_TOL:g} x max(1, sum|M|), sum|M| = {size:.3e}"
         )
     for blk, block in _phase_blocks(energies, times):
-        image = form @ block
-        vals[blk] = np.einsum("ij,ij->j", block, image)
+        vals[blk] = _contract(form, block)
     return vals
 
 

@@ -333,9 +333,12 @@ def lyapunov_scan(
     autocorrelation delay, and each (m, epsilon) curve is fitted over its
     linear rise; the radii at one m share one k-d tree.  Per-dimension
     estimates are averaged over radii; their overall mean and spread
-    (max - min across m) are reported.  m_values and epsilons must not repeat.
-    Every setting is checked before any work is done.
+    (max - min across m) are reported.  m_values and epsilons must be
+    non-empty and must not repeat.  Every setting is checked before any work
+    is done.
     """
+    if not m_values or not epsilons:
+        raise ValueError(f"m_values {m_values} and epsilons {epsilons} must not be empty")
     if len(set(m_values)) < len(m_values) or len(set(epsilons)) < len(epsilons):
         raise ValueError(f"m_values {m_values} and epsilons {epsilons} must not repeat")
     if any(m < 1 for m in m_values):

@@ -559,20 +559,32 @@ def test_analyze_f1_loads_no_scipy(tmp_path):
     assert not within(modules, "scipy")
 
 
-def test_kerr_simulate_loads_no_k_d_tree_or_linear_algebra(tmp_path):
-    cfg = write_cfg(tmp_path, KERR_CFG.replace("n_samples = 4000", "n_samples = 200"))
-    modules = run_in_fresh_interpreter(["simulate", cfg, "-o", str(tmp_path / "k.csv")],
-                                       tmp_path)
-    assert within(modules, "qnldyn") == CLI_MODULES | {"qnldyn.fock", "qnldyn.kerr",
-                                                      "qnldyn.spectral"}
-    assert not within(modules, "scipy.spatial", "scipy.linalg")
+def test_kerr_simulate_f1_and_single_time_path_load_no_scipy(tmp_path):
+    """kerr `simulate`, `analyze f1` of its series and the single-time path
+    (coherent_state, evolve_kerr, quadrature_moment, inner), run in one
+    interpreter, leave no scipy module loaded."""
+    cfg = write_cfg(tmp_path, KERR_CFG)
+    path = str(tmp_path / "k.csv")
+    code = f"""\
+from qnldyn.cli import main
+assert main(["simulate", {cfg!r}, "-o", {path!r}]) == 0
+assert main(["analyze", "f1", {path!r}]) == 0
+from qnldyn.fock import coherent_state, inner, quadrature_moment
+from qnldyn.kerr import KerrParams, evolve_kerr
+state = coherent_state(3.0)
+later = evolve_kerr(state, KerrParams(chi=1.0), 0.3)
+assert quadrature_moment(later, "x", 2) > 0 and 0 < abs(inner(state, later)) < 1"""
+    modules = loaded_after(code, tmp_path)
+    assert within(modules, "qnldyn") == CLI_MODULES | {
+        "qnldyn.fock", "qnldyn.kerr", "qnldyn.spectral", "qnldyn.tsa", "qnldyn.tsa.returns"}
+    assert not within(modules, "scipy")
 
 
 @pytest.mark.parametrize("module", ["qnldyn.bjj", "qnldyn.morse"])
-def test_dense_operator_systems_load_no_sparse_matrices(tmp_path, module):
-    """Only kerr's banded operator is sparse, so the shared kernel leaves
-    `scipy.sparse` to the caller that hands it a sparse matrix."""
-    assert not within(loaded_after(f"import {module}", tmp_path), "scipy.sparse")
+def test_system_module_import_loads_no_scipy(tmp_path, module):
+    """bjj and morse import scipy inside the functions that diagonalize or
+    evaluate special functions, so importing them loads none of it."""
+    assert not within(loaded_after(f"import {module}", tmp_path), "scipy")
 
 
 def test_bjj_simulate_loads_no_sparse_matrices(tmp_path):

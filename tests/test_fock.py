@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qnldyn import fock
 from qnldyn.fock import (
     FockVector,
     TAIL_BOUND,
@@ -19,6 +20,7 @@ from qnldyn.fock import (
     choose_cutoff,
     coherent_state,
     inner,
+    log_factorial,
     norm,
     poisson_tail,
     quadrature_moment,
@@ -59,6 +61,36 @@ def test_chosen_cutoff_respects_tail_bound():
         cut = choose_cutoff(a)
         assert poisson_tail(cut, a * a) <= TAIL_BOUND
         assert cut >= a * a  # cutoff sits above the mean occupation
+
+
+#: Mean occupations |alpha|^2 at which cutoffs are checked against scipy.
+MEAN_GRID = np.logspace(-4.0, np.log10(5000.0), 1000)
+
+
+def test_cutoffs_match_a_gammainc_reference():
+    """choose_cutoff's rule evaluated on scipy's regularized incomplete gamma
+    P(k + 1, mean) = P(N > k) picks the same cutoff at every mean, and every
+    candidate tail above 1e-300 agrees with it to 2e-11 relative."""
+    from scipy.special import gammainc
+
+    for mean in MEAN_GRID:
+        lo = int(np.floor(mean))
+        candidates = np.arange(lo, lo + int(np.ceil(20.0 * np.sqrt(mean) + 40.0)))
+        reference = gammainc(candidates + 1.0, mean)
+        first = candidates[np.argmax(reference < TAIL_BOUND)]
+        assert choose_cutoff(np.sqrt(mean)) == max(int(np.ceil(1.5 * first)), 8), mean
+        tails = fock._poisson_tails(lo, candidates.size, mean)
+        shown = reference > 1e-300
+        assert_allclose(tails[shown], reference[shown], rtol=2e-11, atol=0.0)
+        for k in (0, lo // 2, lo, int(first)):
+            assert_allclose(poisson_tail(k, mean), gammainc(k + 1.0, mean), rtol=2e-11)
+
+
+def test_log_factorial_matches_gammaln():
+    from scipy.special import gammaln
+
+    n = np.arange(10000)
+    assert_allclose(log_factorial(n), gammaln(n + 1.0), rtol=1e-15, atol=0.0)
 
 
 def test_poisson_tail_decreases_with_cutoff():

@@ -165,6 +165,7 @@ def test_fidelity_series_matches_direct_overlaps():
     assert_allclose(series.values, direct, atol=1e-10)
 
 
+@pytest.mark.baseline_kernels
 def test_first_moment_series_matches_pointwise_moment():
     params = KerrParams(chi=0.6, chi_prime=5e-4)
     state = superpose_coherent(2.0, 2)[0]
@@ -177,6 +178,7 @@ def test_first_moment_series_matches_pointwise_moment():
     assert_allclose(series.values, direct, atol=1e-10)
 
 
+@pytest.mark.baseline_kernels
 @pytest.mark.parametrize("observable", ["x", "x^2", "x^3", "x^4", "p", "p^2", "p^3", "p^4"])
 def test_moment_series_match_ladder_moments(observable):
     """The banded x^k and p^k operators against the ladder applied k times."""
@@ -190,6 +192,7 @@ def test_moment_series_match_ladder_moments(observable):
     assert_allclose(series.values, direct, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.baseline_kernels
 def test_moment_series_memory_stays_small_at_large_occupation():
     """|alpha|^2 = 2500 puts the cutoff at 4290, where a dense operator
     alone would take 295 MB; the banded one keeps the traced peak of a

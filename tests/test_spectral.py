@@ -6,7 +6,7 @@ Oracles:
     E t reaches 1e7 rad or more, over enough samples to cross several
     kernel blocks;
   - a per-time vdot(c(t), op @ c(t)) on generated spectra, coefficients
-    and Hermitian operators;
+    and Hermitian operators, dense or banded ({offset: diagonal});
   - the survival amplitude at t = 0 is the total population;
   - a level with zero weight contributes nothing, so the energy it is
     given (NaN included) cannot change the series;
@@ -26,9 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
-from scipy import sparse
 
-from qnldyn import spectral
+from qnldyn import kerr, spectral
 from qnldyn.bjj import (
     BJJParams,
     SpinState,
@@ -53,6 +52,13 @@ from qnldyn.series import SamplingPlan
 
 # Every test here is rerun on numpy's baseline (non-SIMD) kernels in CI.
 pytestmark = pytest.mark.baseline_kernels
+
+
+def as_banded(op: np.ndarray) -> dict:
+    """The nonzero diagonals of a square matrix, as expectation_series takes them."""
+    n = op.shape[0]
+    bands = {d: np.diagonal(op, d) for d in range(1 - n, n)}
+    return {d: band for d, band in bands.items() if np.any(band)}
 
 
 def long_plan(t_start: float, dt: float, levels: int) -> SamplingPlan:
@@ -156,31 +162,61 @@ def test_empty_levels_are_never_phased():
     op = np.ones((5, 5), dtype=complex)
     times = np.linspace(0.0, 40.0, 300)
     via_dense = spectral.expectation_series(energies, coeffs, op, times)
-    via_sparse = spectral.expectation_series(
-        energies, coeffs, sparse.csr_array(op), times
-    )
+    via_banded = spectral.expectation_series(energies, coeffs, as_banded(op), times)
     survival = spectral.survival_amplitude(energies, np.abs(coeffs) ** 2, times)
     occupied = [0, 2, 4]
     kept_op = op[np.ix_(occupied, occupied)]
     kept = spectral.expectation_series(
         energies[occupied], coeffs[occupied], kept_op, times
     )
-    kept_sparse = spectral.expectation_series(
-        energies[occupied], coeffs[occupied], sparse.csr_array(kept_op), times
+    kept_banded = spectral.expectation_series(
+        energies[occupied], coeffs[occupied], as_banded(kept_op), times
     )
     assert np.all(np.isfinite(via_dense)) and np.all(np.isfinite(survival))
     assert np.array_equal(via_dense, kept)
-    assert np.array_equal(via_sparse, kept_sparse)
-    # Dense and CSR products sum in different orders.
-    assert_allclose(via_sparse, via_dense, rtol=0.0, atol=1e-15)
+    assert np.array_equal(via_banded, kept_banded)
+    # Dense and banded contractions sum in different orders.
+    assert_allclose(via_banded, via_dense, rtol=0.0, atol=1e-15)
     assert_allclose(survival[0], 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("axis, order, ell, offsets", [
+    ("x", 2, 1, [-2, 0, 2]), ("x", 2, 2, [-1, 0, 1]), ("p", 3, 3, [-1, 1]),
+    ("x", 1, 2, []), ("x", 4, 2, [-2, -1, 0, 1, 2]), ("p", 3, 2, []),
+], ids=["x2-l1", "x2-l2", "p3-l3", "x1-l2", "x4-l2", "p3-l2"])
+def test_sublattice_states_keep_only_their_bands(axis, order, ell, offsets):
+    """An ell-component state keeps levels n = 0 mod ell: a diagonal at an
+    offset that is not a multiple of ell has no kept entry and goes, and one
+    at offset k * ell becomes offset k on the kept levels."""
+    state, _ = superpose_coherent(3.0, ell)
+    amps = np.concatenate([state.amplitudes, np.zeros(order, dtype=complex)])
+    op = kerr._quadrature_bands(axis, order, amps.size)
+    keep = np.flatnonzero(amps)
+    restricted = spectral._restrict(op, keep, amps.size)
+    assert sorted(restricted) == offsets
+    dense = sum(np.diag(band, d) for d, band in op.items())
+    kept = sum((np.diag(band, d) for d, band in restricted.items()),
+               np.zeros((keep.size, keep.size), dtype=complex))
+    assert np.array_equal(kept, dense[np.ix_(keep, keep)])
+    plan = SamplingPlan(0.2, 0.37, 50)
+    series = kerr_series(state, KERR, plan, f"{axis}^{order}")
+    direct = [quadrature_moment(evolve_kerr(state, KERR, t), axis, order)
+              for t in plan.times()]
+    assert_allclose(series.values, direct, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("bands", [{1: np.ones(5)}, {0: np.ones(3), 2: np.ones(2)},
+                                   {-7: np.ones(1)}])
+def test_banded_operator_with_misshapen_diagonal_is_rejected(bands):
+    with pytest.raises(ValueError, match="diagonal"):
+        spectral.expectation_series(np.zeros(4), np.full(4, 0.5), bands, np.zeros(2))
 
 
 @pytest.mark.parametrize("levels", [0, 1, 6])
 def test_all_zero_weights_give_zero_series(levels):
     energies = np.linspace(-2.0, 3.0, levels)
     times = np.linspace(0.0, 5.0, 7)
-    for op in (np.eye(levels), sparse.csr_array(np.eye(levels))):
+    for op in (np.eye(levels), as_banded(np.eye(levels))):
         vals = spectral.expectation_series(energies, np.zeros(levels), op, times)
         assert np.array_equal(vals, np.zeros(7))
     amp = spectral.survival_amplitude(energies, np.zeros(levels), times)
@@ -201,7 +237,7 @@ def test_non_hermitian_operator_rejected_for_every_system(morse_basis):
         spectral.expectation_series(
             level_phases(KERR, kerr_state.cutoff),
             kerr_state.amplitudes,
-            sparse.csr_array(lowering),
+            {1: np.diagonal(lowering, 1)},
             times,
         )
 
@@ -267,25 +303,29 @@ def spectral_problems(draw):
         coeffs[0] = 1.0
     else:
         coeffs = coeffs / norm
-    # Empty levels, up to all of them, are dropped by the kernel.
+    # Empty levels, up to all of them, are dropped by the kernel; a banded
+    # operator is restricted to the rest.
     coeffs[draw(arrays(bool, n))] = 0.0
     raw = draw(arrays(float, (n, n), elements=finite)) + 1j * draw(
         arrays(float, (n, n), elements=finite)
     )
     op = 0.5 * (raw + raw.conj().T)
+    # Zero every diagonal past a drawn half-width, so banded operators are sparse.
+    offset = np.subtract.outer(np.arange(n), np.arange(n))
+    op[np.abs(offset) > draw(st.integers(0, n - 1))] = 0.0
     times = draw(arrays(float, st.integers(1, 120), elements=st.floats(0.0, 1e3)))
     block_entries = draw(st.integers(1, 64))
-    as_sparse = draw(st.booleans())
-    return energies, coeffs, op, times, block_entries, as_sparse
+    banded = draw(st.booleans())
+    return energies, coeffs, op, times, block_entries, banded
 
 
 @settings(max_examples=60, deadline=None)
 @given(spectral_problems())
 def test_kernel_equals_per_time_contraction(problem):
-    energies, coeffs, op, times, block_entries, as_sparse = problem
+    energies, coeffs, op, times, block_entries, banded = problem
     with mock.patch.object(spectral, "_BLOCK_ENTRIES", block_entries):
         got = spectral.expectation_series(
-            energies, coeffs, sparse.csr_array(op) if as_sparse else op, times
+            energies, coeffs, as_banded(op) if banded else op, times
         )
         survival = spectral.survival_amplitude(energies, np.abs(coeffs) ** 2, times)
     for k, t in enumerate(times):

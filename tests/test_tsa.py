@@ -813,7 +813,10 @@ def test_scan_rejects_t_max_without_two_usable_points():
     ({"theiler": -1}, "theiler must be >= 0"),
     ({"t_max": 2}, "t_max must be >= 3"),
     ({"t_max": -5}, "t_max must be >= 3"),
-], ids=["m_0", "epsilon_0", "epsilon_negative", "theiler_negative", "t_max_2", "t_max_negative"])
+    ({"m_values": ()}, "must not be empty"),
+    ({"epsilons": ()}, "must not be empty"),
+], ids=["m_0", "epsilon_0", "epsilon_negative", "theiler_negative", "t_max_2", "t_max_negative",
+        "m_values_empty", "epsilons_empty"])
 def test_scan_rejects_a_bad_setting_before_any_work(monkeypatch, setting, message):
     def no_work(*args, **kwargs):
         raise AssertionError("the scan started work before rejecting a setting")
