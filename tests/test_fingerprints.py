@@ -10,9 +10,10 @@ holds against the direct single-time path.
 Each regeneration of a slice is a test-data change with a cause (for
 example, a fix that moves lambda on purpose); the slices not named are kept:
 
-    PYTHONPATH=src python tests/test_fingerprints.py --write series|lyap|f1 ...
+    PYTHONPATH=src python tests/test_fingerprints.py --write series|lyap|f1|rp ...
 """
 
+import hashlib
 import json
 import math
 import re
@@ -25,7 +26,9 @@ import pytest
 from qnldyn.cli import FIGURES, run_simulation
 from qnldyn.config import parse_config_text
 from qnldyn.series import normalize_series
+from qnldyn.tsa.embedding import autocorr_delay, delay_embed
 from qnldyn.tsa.lyapunov import lyapunov_scan
+from qnldyn.tsa.recurrence import diagonal_line_lengths, mean_diagonal_length, recurrence_plot
 from qnldyn.tsa.returns import return_time_histogram
 
 FINGERPRINTS = Path(__file__).parent / "data" / "fingerprints.json"
@@ -89,6 +92,14 @@ SERIES_RUNS = {
     f"morse-x-l2-n{SERIES_SAMPLES}": _MORSE_CFG,
 }
 
+#: Run name -> run text: the recurrence runs, cut to SERIES_SAMPLES, and the
+#: `analyze rp` settings they are pinned at (autocorrelation delay, window from 0).
+RP_RUNS = {name: SERIES_RUNS[name]
+           for name in (f"fig11-bjj-even-u50-n{SERIES_SAMPLES}", f"morse-x-l2-n{SERIES_SAMPLES}")}
+RP_EPSILON = 0.05
+RP_M = 3
+RP_WINDOW = 2000
+
 
 def _runs(offsets: np.ndarray) -> list[list[int]]:
     """Offsets as [start, stop) runs of consecutive values."""
@@ -113,6 +124,20 @@ def series_fingerprint(text: str) -> dict:
     values = _cut_text(text, "series run", SERIES_SAMPLES).values
     indices = np.linspace(0, values.size - 1, SERIES_POINTS).round().astype(np.int64)
     return {"indices": indices.tolist(), "values": values[indices].tolist()}
+
+
+def rp_fingerprint(text: str) -> dict:
+    """Pair count, line-length histogram digest and mean line of a run's recurrence plot."""
+    norm = normalize_series(_cut_text(text, "rp run", SERIES_SAMPLES))
+    emb = delay_embed(norm, RP_M, autocorr_delay(norm))
+    rec = recurrence_plot(emb, RP_EPSILON, (0, min(RP_WINDOW, len(emb))))
+    lengths = diagonal_line_lengths(rec)
+    histogram = np.stack(np.unique(lengths, return_counts=True)).astype("<i8")
+    return {
+        "n_pairs": rec.n_pairs,
+        "length_digest": hashlib.sha256(histogram.tobytes()).hexdigest()[:16],
+        "mean_diagonal": mean_diagonal_length(rec),
+    }
 
 
 def f1_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
@@ -157,7 +182,8 @@ def lyap_fingerprint(figure: str, tag: str, n_samples: int) -> dict:
 
 
 SLICES = {"series": (series_fingerprint, {name: (text,) for name, text in SERIES_RUNS.items()}),
-          "lyap": (lyap_fingerprint, LYAP_RUNS), "f1": (f1_fingerprint, F1_RUNS)}
+          "lyap": (lyap_fingerprint, LYAP_RUNS), "f1": (f1_fingerprint, F1_RUNS),
+          "rp": (rp_fingerprint, {name: (text,) for name, text in RP_RUNS.items()})}
 
 
 def compute(slice_name: str) -> dict:
@@ -185,6 +211,15 @@ def test_f1_histogram_matches_fingerprint(name):
         assert got[key] == expected[key], key
     for key in ("mu_fit", "mean_tau", "fit_quality"):
         assert _close(got[key], expected[key]), key
+
+
+@pytest.mark.parametrize("name", sorted(RP_RUNS))
+def test_rp_plot_matches_fingerprint(name):
+    expected = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["rp"][name]
+    got = rp_fingerprint(RP_RUNS[name])
+    assert got["n_pairs"] == expected["n_pairs"]
+    assert got["length_digest"] == expected["length_digest"]
+    assert _close(got["mean_diagonal"], expected["mean_diagonal"])
 
 
 @pytest.mark.parametrize("name", sorted(LYAP_RUNS))
