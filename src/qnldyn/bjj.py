@@ -13,6 +13,7 @@ from warnings import warn
 
 import numpy as np
 
+from .fock import log_gamma
 from .series import SamplingPlan, TimeSeries
 from .spectral import check_normalized, sample
 
@@ -118,10 +119,7 @@ class BJJOperatorSet:
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
-            from scipy.linalg import eigh
-
-            energies, vectors = eigh(self.hamiltonian)
-            self._eig = (energies, vectors)
+            self._eig = np.linalg.eigh(self.hamiltonian)
         return self._eig
 
 
@@ -147,11 +145,10 @@ def su2_coherent(theta: float, phi: float, n_atoms: int) -> SpinState:
     if theta == np.pi:
         amps[-1] = 1.0
         return SpinState(amps)
-    from scipy.special import gammaln
-
     k = np.arange(dim, dtype=float)  # k = l + m
-    log_mag = k * np.log(np.tan(theta / 2.0)) + 0.5 * (
-        gammaln(n_atoms + 1.0) - gammaln(k + 1.0) - gammaln(n_atoms - k + 1.0)
+    # sqrt(C(N, k)) without the N!, which the normalization absorbs
+    log_mag = k * np.log(np.tan(theta / 2.0)) - 0.5 * (
+        log_gamma(k + 1.0) + log_gamma(n_atoms - k + 1.0)
     )
     log_mag -= log_mag.max()
     if phi == 0.0:

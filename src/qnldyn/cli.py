@@ -9,9 +9,9 @@ per analysis; each step writes its files and returns the lines
 the command prints.  A `repro` figure is a FIGURES entry: run-file texts,
 parsed as `simulate` parses a run file, and the analysis step for them.
 
-Each command imports the system or analysis module it uses when it runs,
-so start-up loads no scipy, and neither `analyze f1` nor kerr `simulate`
-ever does.
+Each command imports the system or analysis module it uses when it runs.
+Only the k-d trees of `analyze rp` and `analyze lyap` (and so `repro fig11`)
+load scipy; start-up, `simulate` and `analyze f1` never do.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _morse_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:
         morse.MORSE_PRESETS[p["preset"]], cache_dir=os.environ.get(CACHE_ENV)
     )
     state = morse.superpose_morse(p["alpha"], p["ell"], basis, n_prime=p.get("n_prime"))
-    return morse.morse_moments_series(state, plan, cfg.observable.lower())
+    return morse.morse_moments_series(state, plan, cfg.observable)
 
 
 def _bjj_series(cfg: RunConfig, plan: SamplingPlan) -> TimeSeries:

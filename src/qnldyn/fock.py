@@ -62,9 +62,9 @@ class SuperpositionSpec:
             raise ValueError("norm_const must be positive")
 
 
-def log_factorial(n: np.ndarray) -> np.ndarray:
-    """log n! for each entry of a 1-d array of non-negative integers."""
-    return np.array([math.lgamma(k + 1.0) for k in np.asarray(n).tolist()], dtype=float)
+def log_gamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) for each entry of a 1-d array of positive reals (log n! at x = n + 1)."""
+    return np.array([math.lgamma(v) for v in np.asarray(x, dtype=float).tolist()], dtype=float)
 
 
 def _poisson_tails(first: int, count: int, mean: float) -> np.ndarray:
@@ -78,7 +78,7 @@ def _poisson_tails(first: int, count: int, mean: float) -> np.ndarray:
     """
     top = max(first + count, math.ceil(mean)) + math.ceil(12.0 * math.sqrt(mean) + 60.0)
     n = np.arange(first + 1, top + 1)
-    pmf = np.exp(n * math.log(mean) - mean - log_factorial(n))
+    pmf = np.exp(n * math.log(mean) - mean - log_gamma(n + 1.0))
     return np.cumsum(pmf[::-1])[::-1][:count]
 
 
@@ -132,7 +132,7 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
         return FockVector(amps)
-    logmag = -0.5 * mean + n * np.log(abs(alpha)) - 0.5 * log_factorial(n)
+    logmag = -0.5 * mean + n * np.log(abs(alpha)) - 0.5 * log_gamma(n + 1.0)
     phase = n * np.angle(alpha)
     return FockVector(np.exp(logmag + 1j * phase))
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SQRT2, FockVector, check_headroom, choose_cutoff, log_factorial
+from .fock import SQRT2, FockVector, check_headroom, choose_cutoff, log_gamma
 from .series import SamplingPlan, TimeSeries
-from .spectral import check_normalized, sample
+from .spectral import check_normalized, sample, survival_amplitude
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,10 @@ def xsq_closed_form(alpha: complex, params: KerrParams, t, cutoff: int | None = 
         weights = np.zeros(cutoff + 1)
         weights[0] = 1.0
     else:
-        weights = np.exp(-mean + n * np.log(mean) - log_factorial(n))
+        weights = np.exp(-mean + n * np.log(mean) - log_gamma(n + 1.0))
     freq = 2.0 * (2.0 * n + 1.0) * params.chi + 6.0 * n**2 * params.chi_prime
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    osc = np.exp(-1j * np.outer(t_arr, freq)) @ weights
+    osc = survival_amplitude(freq, weights, t_arr)
     out = 0.5 + mean + (alpha**2 * osc).real
     return out if np.ndim(t) else float(out[0])
 

@@ -11,6 +11,7 @@ eigenphases, so revival checks at long times carry no integrator error.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from warnings import warn
 import numpy as np
 
 from .errors import GridResolutionError, TruncationError
+from .fock import log_gamma
 from .series import SamplingPlan, TimeSeries
 from .spectral import check_normalized, sample, survival_amplitude
 
@@ -181,8 +183,6 @@ def build_eigenbasis(
     space.  Trapezoid overlaps must reproduce the identity to 1e-6, else
     the grid is rejected.
     """
-    from scipy.special import eval_genlaguerre, gammaln
-
     if grid is None:
         grid = default_grid(params)
     grid = np.asarray(grid, dtype=float)
@@ -201,11 +201,11 @@ def build_eigenbasis(
         log_norm = 0.5 * (
             np.log(params.beta)
             + np.log(s)
-            + gammaln(n + 1.0)
-            - gammaln(2.0 * lam - n)
+            + math.lgamma(n + 1.0)
+            - math.lgamma(2.0 * lam - n)
         )
         envelope = np.exp(log_norm - 0.5 * xi + 0.5 * s * log_xi)
-        psi[n] = envelope * eval_genlaguerre(n, s, xi)
+        psi[n] = envelope * _laguerre(n, s, xi)
     basis = MorseEigenbasis(params, grid, psi, params.bound_energies())
     residue = orthonormality_residue(basis)
     if residue > 1e-6:
@@ -213,6 +213,14 @@ def build_eigenbasis(
             f"eigenbasis overlap residue {residue:.3e} > 1e-6; refine the grid"
         )
     return basis
+
+
+def _laguerre(n: int, s: float, x: np.ndarray) -> np.ndarray:
+    """L_n^s(x) by the three-term recurrence (Abramowitz & Stegun 22.7.12)."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + s - x) * cur - (k + s) * prev) / (k + 1)
+    return cur
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -280,8 +288,6 @@ class MorseState:
 
 def _annihilation_weights(alpha: complex, params: MorseParams, n_prime: int):
     """Unnormalized packet coefficients d_n over n = 0 .. n_max."""
-    from scipy.special import gammaln
-
     lam = params.lam
     n = np.arange(params.n_max + 1, dtype=float)
     k = n_prime - n
@@ -293,13 +299,13 @@ def _annihilation_weights(alpha: complex, params: MorseParams, n_prime: int):
     kk = k[valid]
     log_mag = (
         kk * np.log(abs(alpha))
-        - gammaln(kk + 1.0)
+        - log_gamma(kk + 1.0)
         + 0.5
         * (
-            gammaln(n_prime + 1.0)
-            + gammaln(2.0 * lam - n[valid])
-            - gammaln(n[valid] + 1.0)
-            - gammaln(2.0 * lam - n_prime)
+            math.lgamma(n_prime + 1.0)
+            + log_gamma(2.0 * lam - n[valid])
+            - log_gamma(n[valid] + 1.0)
+            - math.lgamma(2.0 * lam - n_prime)
         )
     )
     phase = kk * np.angle(-alpha)
@@ -395,13 +401,15 @@ def morse_moments_series(
 
     Evolution is diagonal, so the spectral kernel phases the coefficients
     and contracts them against the 21x21 (or so) operator matrix.
-    'autocorrelation' and 'survival' both name |<psi(0)|psi(t)>|^2.
+    'autocorrelation' and 'survival' both name |<psi(0)|psi(t)>|^2; case and
+    surrounding blanks are ignored.
     """
-    if observable == "x":
+    name = observable.strip().lower()
+    if name == "x":
         op = position_matrix(state.basis)
-    elif observable == "p":
+    elif name == "p":
         op = momentum_matrix(state.basis)
-    elif observable in ("autocorrelation", "survival"):
+    elif name in ("autocorrelation", "survival"):
         op = None
     else:
         raise ValueError(f"morse observable must be x, p, autocorrelation, or survival; "

@@ -57,6 +57,16 @@ def test_eigensystem_reconstructs_hamiltonian():
     assert_allclose(rebuilt, ops.hamiltonian, atol=1e-10)
 
 
+@pytest.mark.parametrize("u", [50.0, 90.0])
+def test_eigensystem_residual_and_orthogonality_at_forty_atoms(u):
+    """The figure runs' 41 levels: max|HV - VE| reads 2.8e-13 (u = 50) and
+    4.6e-13 (u = 90), max|V^H V - I| 1.8e-15, with numpy 2.4."""
+    ops = build_bjj(BJJParams.from_u(40, u))
+    energies, vectors = ops.eigensystem()
+    assert np.max(np.abs(ops.hamiltonian @ vectors - vectors * energies)) <= 1e-11
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(41))) <= 1e-13
+
+
 def test_coherent_state_expectations():
     n = 12
     ops = build_bjj(BJJParams.from_u(n, 50.0))

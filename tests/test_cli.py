@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,31 +560,52 @@ def test_analyze_f1_loads_no_scipy(tmp_path):
     assert not within(modules, "scipy")
 
 
-def test_kerr_simulate_f1_and_single_time_path_load_no_scipy(tmp_path):
-    """kerr `simulate`, `analyze f1` of its series and the single-time path
-    (coherent_state, evolve_kerr, quadrature_moment, inner), run in one
-    interpreter, leave no scipy module loaded."""
-    cfg = write_cfg(tmp_path, KERR_CFG)
-    path = str(tmp_path / "k.csv")
-    code = f"""\
-from qnldyn.cli import main
-assert main(["simulate", {cfg!r}, "-o", {path!r}]) == 0
-assert main(["analyze", "f1", {path!r}]) == 0
+#: System -> (run text, its single-time path): state, evolution and a value.
+SINGLE_TIME_PATHS = {
+    "kerr": (KERR_CFG, """\
 from qnldyn.fock import coherent_state, inner, quadrature_moment
 from qnldyn.kerr import KerrParams, evolve_kerr
 state = coherent_state(3.0)
 later = evolve_kerr(state, KerrParams(chi=1.0), 0.3)
-assert quadrature_moment(later, "x", 2) > 0 and 0 < abs(inner(state, later)) < 1"""
+assert quadrature_moment(later, "x", 2) > 0 and 0 < abs(inner(state, later)) < 1"""),
+    "bjj": (BJJ_CFG, """\
+from qnldyn.bjj import BJJParams, build_bjj, evolve_bjj, su2_coherent
+state = su2_coherent(1.0, 0.5, 20)
+later = evolve_bjj(state, build_bjj(BJJParams.from_u(20, 50.0)), 0.3)
+overlap = abs(state.amplitudes.conj() @ later.amplitudes)
+assert abs(later.norm() - 1.0) < 1e-12 and 0 < overlap < 1"""),
+    "morse": ("system = morse\nn_samples = 3000\n", """\
+from qnldyn.morse import (MORSE_PRESETS, build_eigenbasis, evolve_morse, morse_autocorrelation,
+                          perelomov_state)
+state = perelomov_state(0.4, build_eigenbasis(MORSE_PRESETS["default"]))
+later = evolve_morse(state, 0.3)
+assert abs(later.norm() - 1.0) < 1e-12 and 0 < abs(morse_autocorrelation(state, 0.3)) < 1"""),
+}
+
+
+@pytest.mark.parametrize("system", sorted(SINGLE_TIME_PATHS))
+def test_simulate_and_single_time_path_load_no_scipy(tmp_path, monkeypatch, system):
+    """`simulate`, `analyze f1` of its series and the system's single-time
+    path, run in one interpreter, load the system's modules, the spectral
+    kernel and the f1 step, and no scipy module."""
+    monkeypatch.delenv("QNLDYN_CACHE_DIR", raising=False)
+    text, single_time_path = SINGLE_TIME_PATHS[system]
+    cfg = write_cfg(tmp_path, text)
+    path = str(tmp_path / f"{system}.csv")
+    code = f"""\
+from qnldyn.cli import main
+assert main(["simulate", {cfg!r}, "-o", {path!r}]) == 0
+assert main(["analyze", "f1", {path!r}]) == 0
+{single_time_path}"""
     modules = loaded_after(code, tmp_path)
     assert within(modules, "qnldyn") == CLI_MODULES | {
-        "qnldyn.fock", "qnldyn.kerr", "qnldyn.spectral", "qnldyn.tsa", "qnldyn.tsa.returns"}
+        "qnldyn.fock", f"qnldyn.{system}", "qnldyn.spectral", "qnldyn.tsa", "qnldyn.tsa.returns"}
     assert not within(modules, "scipy")
 
 
 @pytest.mark.parametrize("module", ["qnldyn.bjj", "qnldyn.morse"])
 def test_system_module_import_loads_no_scipy(tmp_path, module):
-    """bjj and morse import scipy inside the functions that diagonalize or
-    evaluate special functions, so importing them loads none of it."""
+    """Importing bjj or morse on its own loads no scipy module."""
     assert not within(loaded_after(f"import {module}", tmp_path), "scipy")
 
 
@@ -592,7 +614,27 @@ def test_bjj_simulate_loads_no_sparse_matrices(tmp_path):
     modules = run_in_fresh_interpreter(["simulate", cfg, "-o", str(tmp_path / "b.csv")],
                                        tmp_path)
     assert "qnldyn.spectral" in modules
-    assert not within(modules, "scipy.sparse")
+    assert not within(modules, "scipy")
+
+
+def test_only_tsa_imports_scipy():
+    """No module outside qnldyn/tsa imports scipy, at module level or inside a
+    function."""
+    package = Path(qnldyn.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if package / "tsa" in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(package)}:{node.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert not found
 
 
 def test_analyze_lyap_loads_only_the_lyapunov_module(tmp_path):

@@ -20,7 +20,7 @@ from qnldyn.fock import (
     choose_cutoff,
     coherent_state,
     inner,
-    log_factorial,
+    log_gamma,
     norm,
     poisson_tail,
     quadrature_moment,
@@ -87,10 +87,14 @@ def test_cutoffs_match_a_gammainc_reference():
 
 
 def test_log_factorial_matches_gammaln():
+    """log_gamma at n + 1 is log n!, and it holds at the non-integer arguments
+    of the Morse norms and packets, Gamma(2 lam - n), across scales."""
     from scipy.special import gammaln
 
     n = np.arange(10000)
-    assert_allclose(log_factorial(n), gammaln(n + 1.0), rtol=1e-15, atol=0.0)
+    assert_allclose(log_gamma(n + 1.0), gammaln(n + 1.0), rtol=1e-15, atol=0.0)
+    x = np.concatenate([np.arange(1, 10000) + 0.5, np.logspace(-3.0, 4.0, 2001)])
+    assert_allclose(log_gamma(x), gammaln(x), rtol=1e-14, atol=1e-15)
 
 
 def test_poisson_tail_decreases_with_cutoff():

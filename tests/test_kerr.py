@@ -154,6 +154,24 @@ def test_xsq_closed_form_matches_ladder_pipeline():
     assert np.max(np.abs(series.values - reference)) < 1e-8
 
 
+def test_xsq_closed_form_memory_stays_flat_in_the_number_of_times():
+    """1e5 times at |alpha|^2 = 25 go through the spectral kernel's blocks, so
+    the traced peak stays under 32 MB; a (times, levels) phase matrix alone
+    takes 330 MB."""
+    params = KerrParams(chi=1.0, chi_prime=1e-3)
+    times = SamplingPlan(0.0, 0.008, 100000).times()
+    tracemalloc.start()
+    try:
+        values = xsq_closed_form(5.0, params, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert values.shape == times.shape
+    assert_allclose(values[[0, -1]], [xsq_closed_form(5.0, params, t) for t in times[[0, -1]]],
+                    rtol=0.0, atol=1e-12)
+
+
 def test_fidelity_series_matches_direct_overlaps():
     params = KerrParams(chi=0.9, chi_prime=0.0)
     state = coherent_state(2.0)

@@ -22,11 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import eval_genlaguerre
 
 from qnldyn.errors import GridResolutionError
 from qnldyn.morse import (
     MORSE_PRESETS,
     MorseParams,
+    _laguerre,
     _trapezoid_weights,
     build_eigenbasis,
     cached_eigenbasis,
@@ -121,6 +123,19 @@ def test_spectrum_against_finite_difference(morse_basis):
 
 def test_eigenbasis_orthonormal(morse_basis):
     assert orthonormality_residue(morse_basis) < 1e-10
+
+
+def test_laguerre_recurrence_matches_scipy():
+    """L_n^s(xi) of every bound level on the default grid, times the state's
+    envelope e^{-xi/2} xi^{s/2}, against scipy's eval_genlaguerre."""
+    lam = PRESET.lam
+    xi = 2.0 * lam * np.exp(-PRESET.beta * default_grid(PRESET))
+    for n in range(PRESET.n_max + 1):
+        s = 2.0 * (lam - n) - 1.0
+        envelope = np.exp(-0.5 * xi + 0.5 * s * np.log(xi))
+        reference = envelope * eval_genlaguerre(n, s, xi)
+        gap = np.max(np.abs(envelope * _laguerre(n, s, xi) - reference))
+        assert gap <= 1e-13 * np.max(np.abs(reference)), n
 
 
 def test_coarse_grid_is_rejected():
@@ -310,6 +325,17 @@ def test_moment_series_matches_pointwise_expectation(morse_basis):
     for k, t in enumerate(plan.times()):
         c = evolve_morse(state, t).coeffs
         assert_allclose(series.values[k], (c.conj() @ x_op @ c).real, atol=1e-12)
+
+
+def test_observable_name_ignores_case_and_blanks(morse_basis):
+    state = perelomov_state(0.4, morse_basis)
+    plan = SamplingPlan(0.0, 0.17, 12)
+    for name, spelled in (("x", " X "), ("p", "P"), ("survival", "Survival")):
+        series = morse_moments_series(state, plan, spelled)
+        assert_allclose(series.values, morse_moments_series(state, plan, name).values,
+                        rtol=0.0, atol=0.0)
+    with pytest.raises(ValueError, match="morse observable"):
+        morse_moments_series(state, plan, "q")
 
 
 def test_moment_curves_close_after_one_period(morse_basis):
