@@ -5,10 +5,17 @@ preceded by `# key=value` header lines carrying the resolved run
 metadata (dt included), so a file is reproducible and re-loadable on
 its own.  All writes go to a temp file in the target directory and are
 renamed into place.
+
+Float columns are converted a block of rows per numpy pass, exactly:
+each row written is `"%.17g" % x` byte for byte, and each row read is
+the double `float(row)` gives, both by double-double arithmetic against
+10**k held as hi + lo doubles.  Rows near a rounding tie or midpoint,
+and rows of other shapes, go through `"%.17g"` or `float()` themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import tempfile
@@ -24,7 +31,103 @@ _FLOAT_FMT = "%.17g"
 _PAIR_BLOCK = 1 << 16
 
 #: Bytes of series rows read and parsed per numpy call by read_series.
-_READ_CHUNK = 1 << 20
+_READ_CHUNK = 1 << 18
+
+_FORMAT_BLOCK = 1 << 13  # floats formatted per numpy call by the float-column writers
+_ROW = 24  # longest row read in place; "-0.00012345678901234567" has 23 bytes
+_POW_MIN = -260  # 10**k is tabled for k in [_POW_MIN, 280]
+
+
+@functools.cache
+def _tables():
+    """Built on first use: 10**k as hi + lo doubles and hi's upper 26 bits, "0000".."9999"
+    then without trailing zeros, `e±XX`, and masks of the last j of _ROW bytes."""
+    ks = range(_POW_MIN, 281)
+    hi, lo = np.empty((2, len(ks)))
+    for i, k in enumerate(ks):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        p, q = (num / den).as_integer_ratio()  # int / int rounds correctly
+        hi[i], lo[i] = p / q, (num * q - p * den) / (den * q)
+    four = [b"%04d" % i for i in range(10000)]
+    four = np.array(four + [g.rstrip(b"0") for g in four], dtype="S4")
+    exps = np.array([b"e%+03d" % k for k in ks], dtype="S5")
+    masks = np.tri(_ROW + 1, _ROW, -1, dtype=np.uint8)[:, ::-1] * np.uint8(255)
+    t = hi * 134217729.0
+    return hi, lo, t - (t - hi), four, exps, masks.view(f"V{_ROW}").ravel()
+
+
+def _times_pow10(a, k, a_low=0.0):
+    """(a + a_low) * 10**k as p + e: Dekker's exact a * hi plus the small terms."""
+    hi, lo, hi_high = _tables()[:3]
+    b, bh, c = hi[k - _POW_MIN], hi_high[k - _POW_MIN], lo[k - _POW_MIN]
+    t = a * 134217729.0  # 2**27 + 1 splits a into 26-bit halves
+    ah = t - (t - a)
+    al, bl = a - ah, b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * c + a_low * b
+
+
+def _float_rows(values, tail: bytes) -> np.ndarray:
+    """`b"%.17g" % x + tail` per value: rows of a uint8 array, padded with NULs."""
+    hi, lo, _, four, exps, _ = _tables()
+    x = np.asarray(values, dtype=float)
+    n, a = x.size, np.abs(x)
+    fast = (a >= 1e-250) & (a < 1e250)
+    a[~fast] = 1.0
+    # decimal exponent X, 10**X <= a < 10**(X+1): log10's guess, corrected exactly
+    X = np.floor(np.log10(a)).astype(np.int64)
+    for step in (0, 1):
+        h, l = hi[X + step - _POW_MIN], lo[X + step - _POW_MIN]
+        X += ((a > h) | ((a == h) & (l <= 0))) - (1 - step)
+    # rows sorted by %g's layout: X for fixed notation, -4 <= X < 17, else 17 (d.ddde±XX)
+    kind = np.where((X >= -4) & (X < 17), X, 17).astype(np.int8)
+    order = np.argsort(kind, kind="stable")
+    x, a, X, fast, counts = x[order], a[order], X[order], fast[order], np.bincount(kind + 4)
+    # D = round(a * 10**(16-X)); near a tie or at 10**17 (one digit more), "%.17g" decides
+    ph, pl = _times_pow10(a, 16 - X)
+    r = np.rint(pl)
+    D = ph.astype(np.int64) + r.astype(np.int64)
+    fast &= (np.abs(np.abs(pl - r) - 0.5) > 1e-6) & (D < 10**17)
+    g = np.empty((n, 5), np.int64)  # the lead digit, then four groups of four
+    g[:, 0], rest = np.divmod(D, 10**16)
+    h8, l8 = np.divmod(rest, 10**8)
+    g[:, 1], g[:, 2] = np.divmod(h8, 10**4)
+    g[:, 3], g[:, 4] = np.divmod(l8, 10**4)
+    # a group followed by zero groups only is looked up with its zeros dropped
+    g[:, 1] += ((l8 == 0) & (g[:, 2] == 0)) * 10**4
+    g[:, 2] += (l8 == 0) * 10**4
+    g[:, 3] += (g[:, 4] == 0) * 10**4
+    g[:, 4] += 10**4
+    digits = four[g].view(np.uint8).reshape(n, 20)[:, 3:]
+    rows = np.zeros((n, 24 + len(tail)), np.uint8)
+    rows[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    ends = np.cumsum(counts)
+    for code in np.flatnonzero(counts).tolist():
+        part = slice(ends[code] - counts[code], ends[code])
+        d, row, K = digits[part], rows[part], code - 4
+        if K < 0:  # "0." and -K-1 zeros, then all 17 digits
+            row[:, 1 : 2 - K] = ord("0")
+            row[:, 2] = ord(".")
+            row[:, 2 - K : 19 - K] = d
+            continue
+        if K == 17:  # d.ddde±XX
+            K = 0
+            row[:, 19:24] = exps[X[part] - _POW_MIN].view(np.uint8).reshape(-1, 5)
+        row[:, 1 : K + 2] = np.maximum(d[:, : K + 1], ord("0"))  # integer digits keep zeros
+        if K < 16:  # no point when every fraction digit was a dropped zero
+            row[:, K + 2] = (d[:, K + 1] != 0) * np.uint8(ord("."))
+            row[:, K + 3 : 19] = d[:, K + 1 :]
+    rows[:, 24:] = np.frombuffer(tail, np.uint8)
+    slow = np.flatnonzero(~fast)
+    text = np.array([b"%.17g" % v + tail for v in x[slow].tolist()], dtype=f"S{rows.shape[1]}")
+    rows[slow] = text.view(np.uint8).reshape(-1, rows.shape[1])
+    rows.view(f"V{rows.shape[1]}")[order] = rows.view(f"V{rows.shape[1]}").copy()
+    return rows
+
+
+def _text(rows: np.ndarray) -> bytes:
+    """The bytes of rows without their NUL padding."""
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _atomic_write(path: str, *chunks, stream=()) -> None:
@@ -63,25 +166,83 @@ def write_series(path: str, series: TimeSeries) -> None:
     for key, value in series.origin.items():
         meta.setdefault(str(key), value)
     header = "\n".join(_header_lines(meta)) + "\n"
-    values = tuple(series.values.tolist())
-    rows = ((_FLOAT_FMT + "\n") * len(values)) % values
-    _atomic_write(path, header.encode(), rows.encode())
+    values = series.values
+    rows = (_text(_float_rows(values[i : i + _FORMAT_BLOCK], b"\n"))
+            for i in range(0, values.size, _FORMAT_BLOCK))
+    _atomic_write(path, header.encode(), stream=rows)
 
 
 def _parse_rows(path: str, lines: list[bytes], first_lineno: int) -> np.ndarray:
     """The numbers on the non-blank lines; a bad one fails with its line number."""
+    values = []
+    for lineno, line in enumerate(map(bytes.strip, lines), start=first_lineno):
+        try:
+            values += [float(line)] if line else []
+        except ValueError:
+            text = line.decode("utf-8", errors="replace")
+            raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+    return np.array(values)
+
+
+def _parse_chunk(path: str, data: bytes, first_lineno: int) -> tuple[np.ndarray, int]:
+    """The numbers in data's rows (it ends with a newline), and its newline count.
+
+    Rows of up to _ROW bytes of `[-]digits[.digits]` are parsed in place,
+    others by `float()`; if that fails, _parse_rows reads the chunk."""
+    masks = _tables()[5]
+    a = np.frombuffer(data, np.uint8)
+    nl = np.flatnonzero(a == ord("\n"))
+    start = np.concatenate(([0], nl[:-1] + 1))
+    n, length, neg = nl.size, nl - start, a[start] == ord("-")
+    slow = (length > _ROW) | (length == neg)  # long, empty or "-"
+    # each row's last _ROW bytes as digit values: the bytes before the row
+    # and its leading "-" masked out, its point zeroed
+    windows = np.ndarray((a.size + 1,), f"V{_ROW}", b"0" * _ROW + data, strides=(1,))
+    digit = windows[nl].view(np.uint8).reshape(n, _ROW) - np.uint8(ord("0"))
+    digit &= masks[np.minimum(length - neg, _ROW)].view(np.uint8).reshape(n, _ROW)
+    dots = np.flatnonzero(a == ord("."))
+    one_each = dots.size == n and (dots > start).all() and (dots < nl).all()
+    at = np.arange(n) if one_each else np.searchsorted(nl, dots)
+    frac = np.zeros(n, np.int64)
+    frac[at] = np.minimum(nl[at] - dots - 1, _ROW - 1)
+    slow[at] |= frac[at] == 0  # "5."
+    digit[at, _ROW - 1 - frac[at]] = 0
+    # eight digits per word (SWAR), three words per row; any other byte left (a
+    # second point, an inner "-", e, +, blanks) sets a high bit of w | (w + 0x76...)
+    w = digit.view("<u8")
+    bad = (w | (w + np.uint64(0x7676767676767676))) & np.uint64(0x8080808080808080)
+    slow |= (bad[:, 0] | bad[:, 1] | bad[:, 2]) != 0
+    w = (w * np.uint64(10) + (w >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    w = (w * np.uint64(100) + (w >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    w = (w * np.uint64(10000) + (w >> np.uint64(32))) & np.uint64(0x00000000FFFFFFFF)
+    w = w.astype(np.int64)
+    slow |= w[:, 0] >= 100  # more than 18 significant digits
+    V = (w[:, 0] * 10**8 + w[:, 1]) * 10**8 + w[:, 2]  # the point read as a 0 digit
+    F = V % (10 ** np.arange(19))[np.minimum(frac, 18)]
+    D = np.where(frac > 0, (V - F) // 10 + F, V)
+    # D * 10**-frac rounded by s = p + e; TwoSum's error in half-ulps of s is 1 at
+    # a midpoint (1/2 below a power of two; s = 0 takes 2**-1022's ulp), else float()
+    dh = D.astype(float)
+    p, e = _times_pow10(dh, -frac, (D - dh.astype(np.int64)).astype(float))
+    s = p + e
+    scale = np.maximum(s.view(np.int64) & 0x7FF0000000000000, 0x0010000000000000)
+    r = np.abs(e - (s - p)) * 2.0**53 / scale.view(float)
+    slow |= (np.abs(r - 1.0) <= 2.0**-40) | (np.abs(r - 0.5) <= 2.0**-40)
+    values = np.where(neg, -s, s)
     try:
-        return np.array(list(filter(bytes.strip, lines)), dtype=float)
+        values[slow] = [float(data[i:j]) for i, j in zip(start[slow], nl[slow])]
     except ValueError:
-        for lineno, raw in enumerate(lines, start=first_lineno):
-            line = raw.strip()
-            try:
-                if line:
-                    float(line)
-            except ValueError:
-                text = line.decode("utf-8", errors="replace")
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
-        raise
+        return _parse_rows(path, data.split(b"\n"), first_lineno), n
+    return values, n
+
+
+def _row_chunks(fh):
+    """Whole rows, about _READ_CHUNK bytes at a time (or none); a last row gains its newline."""
+    rest = b""
+    for chunk in iter(lambda: fh.read(_READ_CHUNK), b""):
+        rows, newline, rest = (rest + chunk).rpartition(b"\n")
+        yield rows + newline
+    yield rest and rest + b"\n"
 
 
 def read_series(path: str) -> TimeSeries:
@@ -105,9 +266,10 @@ def read_series(path: str) -> TimeSeries:
             key, eq, value = line[1:].decode("utf-8").partition("=")
             if eq:
                 meta[key.strip()] = value.strip()
-        for lines in iter(lambda: fh.readlines(_READ_CHUNK), []):
-            parts.append(_parse_rows(path, lines, lineno + 1))
-            lineno += len(lines)
+        for chunk in filter(None, _row_chunks(fh)):
+            values, rows = _parse_chunk(path, chunk, lineno + 1)
+            parts.append(values)
+            lineno += rows
     if "dt" not in meta:
         raise ValueError(f"{path}: header lacks the required dt key")
     try:
@@ -140,26 +302,24 @@ def write_f1_histogram(path: str, hist, metadata: dict | None = None) -> None:
         meta.update(metadata)
     lines = _header_lines(meta)
     lines.append("# columns=tau,count")
-    lines.extend(f"{_FLOAT_FMT % t},{c}" for t, c in zip(taus, counts))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    counts = np.char.add(counts.astype("S20"), b"\n").view(np.uint8).reshape(-1, 21)
+    rows = np.hstack((_float_rows(taus, b","), counts))
+    _atomic_write(path, ("\n".join(lines) + "\n").encode(), _text(rows))
 
 
 def _pair_blocks(rec):
-    """Yield `i,j` rows as uint8 arrays, _PAIR_BLOCK pairs at a time.
+    """Yield `i,j` rows as bytes, _PAIR_BLOCK pairs at a time.
 
     Each index is looked up in a table of NUL-padded decimal strings, the
     row is laid out at fixed width, and the NUL padding is dropped.
     """
     width = len(str(rec.n_points - 1))
-    digits = np.arange(rec.n_points).astype(f"S{width}").view(np.uint8)
-    digits = digits.reshape(rec.n_points, width)
+    digits = np.arange(rec.n_points).astype(f"S{width}")
+    row = np.dtype([("i", f"S{width}"), ("sep", "S1"), ("j", f"S{width}"), ("end", "S1")])
     for ii, jj in rec.index_blocks(_PAIR_BLOCK):
-        rows = np.empty((ii.size, 2 * width + 2), dtype=np.uint8)
-        rows[:, :width] = digits[ii]
-        rows[:, width] = ord(",")
-        rows[:, width + 1 : -1] = digits[jj]
-        rows[:, -1] = ord("\n")
-        yield rows[rows != 0]
+        rows = np.empty(ii.size, row)
+        rows["i"], rows["sep"], rows["j"], rows["end"] = digits[ii], b",", digits[jj], b"\n"
+        yield _text(rows)
 
 
 def write_recurrence_pairs(path: str, rec, metadata: dict | None = None) -> None:
@@ -226,6 +386,6 @@ def write_lyapunov_curve(path: str, curve, metadata: dict | None = None) -> None
         meta.update(metadata)
     lines = _header_lines(meta)
     lines.append("# columns=t,S")
-    for t, s in zip(curve.t_offsets, curve.s_values):
-        lines.append(f"{_FLOAT_FMT % (t * curve.dt)},{_FLOAT_FMT % s}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    rows = np.hstack((_float_rows(curve.t_offsets * curve.dt, b","),
+                      _float_rows(curve.s_values, b"\n")))
+    _atomic_write(path, ("\n".join(lines) + "\n").encode(), _text(rows))

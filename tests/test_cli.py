@@ -547,6 +547,11 @@ def test_imports_load_no_scipy_and_no_unused_module(tmp_path, code, expected):
     assert not within(modules, "scipy")
 
 
+def test_cli_import_builds_no_conversion_table(tmp_path):
+    loaded_after("import qnldyn.cli\nfrom qnldyn.seriesio import _tables\n"
+                 "assert _tables.cache_info().currsize == 0", tmp_path)
+
+
 def run_in_fresh_interpreter(argv, cwd) -> set:
     """Modules loaded by importing the CLI and running one command that must succeed."""
     return loaded_after(f"from qnldyn.cli import main\nassert main({argv!r}) == 0", cwd)

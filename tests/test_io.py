@@ -1,10 +1,12 @@
 """Run-file parsing and on-disk formats: full-precision round trips."""
 
 import contextlib
+from decimal import Decimal
 import math
 import os
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -263,6 +265,168 @@ def test_read_series_errors(tmp_path):
         read_series(str(bad_dt))
 
 
+# ------------------------------------------------------------------ float columns
+#
+# The series CSV converts whole blocks of rows with numpy; these tests hold
+# the converters to the per-value conversions they replace, and run again
+# on numpy's scalar loops in CI (np.log10, np.floor and exact float operations).
+
+
+def _assert_rows_are_g17(values, tail=b"\n"):
+    values = np.asarray(values, dtype=float)
+    rows = seriesio._text(seriesio._float_rows(values, tail)).split(tail)
+    assert rows[:-1] == [b"%.17g" % v for v in values.tolist()]
+    assert rows[-1] == b""
+
+
+#: Round numbers (trailing zeros and a bare point to drop), the edges of %g's
+#: fixed notation (1e-4 and 1e16 against their neighbours), values rounding up
+#: into the next decade, integers beyond 2**53, exact 18-digit ties (2**-25 =
+#: 2.98023223876953125e-8 rounds half to even), and two values whose 17-digit
+#: scaling lies 2**-52 and 2**-51 above a tie, inside double-double's error.
+WRITER_EDGES = [
+    2.2422607587866907e-07, 3.888475069819475e-07,
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1.0, -1.0, 10.0, 100.0, 12345.0, 0.5, 1e-4, 9.99999999999999999e-5, 1e-5,
+    0.00099999999999999999, 99999.99999999999, 1e16, 1e17, 9.9999999999999999e16,
+    2.0**53 - 1, 2.0**53 + 1, 2.0**53 + 2, 1e22, 1e23, 123456789012345678.0, 0.1,
+    0.30000000000000004, 2.0**-25, 3 * 2.0**-25, -(2.0**-25), 1e-250, 1e250,
+    9.999999999999999e249, math.pi * 1e-300, math.inf, -math.inf, math.nan,
+]
+
+
+@pytest.mark.baseline_kernels
+@pytest.mark.parametrize("tail", [b"\n", b","])
+def test_float_writer_matches_g17_on_edges(tail):
+    _assert_rows_are_g17(WRITER_EDGES, tail)
+    _assert_rows_are_g17(np.negative(WRITER_EDGES), tail)
+
+
+@pytest.mark.baseline_kernels
+@pytest.mark.parametrize("skew", [-1e-9, 1e-9])
+def test_float_writer_corrects_a_log10_that_errs_either_way(skew):
+    decades = 10.0 ** np.arange(-30, 31)
+    values = np.concatenate((decades, np.nextafter(decades, 0), np.nextafter(decades, 1e300)))
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda a: log10(a) + skew):
+        _assert_rows_are_g17(values)
+        _assert_rows_are_g17(WRITER_EDGES)
+
+
+@pytest.mark.baseline_kernels
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=50),
+       bits=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
+def test_float_writer_matches_g17_per_row(values, bits):
+    _assert_rows_are_g17(values)
+    _assert_rows_are_g17(np.array(bits, dtype=np.int64).view(np.float64))
+
+
+@pytest.mark.baseline_kernels
+def test_float_writer_matches_g17_on_random_bits_and_decades():
+    rng = np.random.default_rng(37)
+    _assert_rows_are_g17(rng.integers(-(2**63), 2**63 - 1, 20000).view(np.float64))
+    _assert_rows_are_g17(rng.standard_normal(20000) * 10.0 ** rng.integers(-30, 30, 20000))
+    # short decimals: integers scaled down, where trailing zeros are dropped
+    scaled = np.round(rng.standard_normal(20000) * 1e6) / 10.0 ** rng.integers(0, 9, 20000)
+    _assert_rows_are_g17(scaled)
+    # exact ties: j * 2**-k with j odd has the digits of j * 5**k, the last a 5;
+    # with 18 of them, %.17g rounds half to even
+    ties = []
+    for k in range(3, 26):
+        j = rng.integers(-(-10**17 // 5**k), min(10**18 // 5**k, 2**53), 200) | 1
+        ties += [v for v in np.ldexp(j.astype(float), -k).tolist()
+                 if len(Decimal(v).as_tuple().digits) == 18]
+    assert len(ties) > 1000
+    _assert_rows_are_g17(ties + [-v for v in ties])
+
+
+def _parse_lines(body: bytes) -> np.ndarray:
+    """The values of body's non-blank lines as one numpy conversion gives them."""
+    return np.array(list(filter(bytes.strip, body.split(b"\n"))), dtype=float)
+
+
+def _assert_reads_as_lines(tmp_path, body: bytes):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"# dt=0.5\n" + body)
+    values = read_series(str(path)).values
+    expected = _parse_lines(body)
+    assert values.shape == expected.shape
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+#: Every row syntax the reader takes: blanks around a number, blank lines,
+#: CR, signs, exponents, underscores, bare points, leading zeros, -0, rows
+#: longer than the in-place parse, and decimals at or near a midpoint between
+#: two doubles (9007199254740993 lies half way between 2**53 and 2**53 + 2).
+READER_ROWS = [
+    "1.5", "  -2.25\t", "", "\r", "4\r", "+1", "1e5", "-2.5E+3", "1_0", ".5", "5.", "-.5",
+    "-0", "-0.0", "0", "000012.50", "9007199254740993", "-9007199254740995",
+    "18014398509481986", "4503599627370497.5", "0.30000000000000004",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "123456789012345678901234567890", "0.000000000000000000000000000012",
+    "2.2250738585072011e-308", "4.9406564584124654e-324", "1.7976931348623157e+308",
+]
+
+
+@pytest.mark.baseline_kernels
+@pytest.mark.parametrize("chunk", [64, 1 << 18])
+def test_read_series_parses_every_row_syntax_as_the_line_parse(tmp_path, chunk):
+    with mock.patch.object(seriesio, "_READ_CHUNK", chunk):
+        _assert_reads_as_lines(tmp_path, ("\n".join(READER_ROWS * 7) + "\n").encode())
+        _assert_reads_as_lines(tmp_path, "\n".join(READER_ROWS).encode())  # no final newline
+
+
+@pytest.mark.baseline_kernels
+def test_read_series_rounds_exact_ties_and_long_rows_as_the_line_parse(tmp_path):
+    rng = np.random.default_rng(41)
+    mid = 2**54 + 4 * rng.integers(0, 2**40, 3000) + 2  # half way between two doubles
+    rows = [str(m + d) for m in mid.tolist() for d in (-1, 0, 1)]
+    rows += [f"{m // 2}.5" for m in rng.integers(2**52, 2**53, 3000).tolist()]
+    rows += [f"-0.{'0' * z}{d}" for z, d in zip(rng.integers(0, 12, 3000).tolist(),
+                                               rng.integers(0, 10**18, 3000).tolist())]
+    _assert_reads_as_lines(tmp_path, ("\n".join(rows) + "\n").encode())
+
+
+@pytest.mark.baseline_kernels
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.from_regex(r"-?[0-9]{1,26}(\.[0-9]{1,26})?", fullmatch=True),
+    st.sampled_from(READER_ROWS),
+), min_size=2, max_size=40), chunk=st.sampled_from([64, 1 << 18]))
+def test_read_series_matches_the_line_parse_on_drawn_rows(tmp_path_factory, rows, chunk):
+    body = ("\n".join(rows + ["1", "2"]) + "\n").encode()
+    with mock.patch.object(seriesio, "_READ_CHUNK", chunk):
+        _assert_reads_as_lines(tmp_path_factory.mktemp("rows"), body)
+
+
+def test_read_series_names_the_line_of_a_bad_row_in_an_in_place_chunk(tmp_path):
+    lines = ["# dt=0.5"] + ["%.17g" % v for v in np.linspace(-3.0, 3.0, 999)]
+    lines[700] = "1.2.3"  # file line 701
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"s\.csv:701: not a number: '1\.2\.3'"):
+        read_series(str(path))
+
+
+def test_series_round_trip_memory_stays_near_the_values(tmp_path):
+    values = np.random.default_rng(43).standard_normal(10**6)
+    series = TimeSeries(values, 0.01)
+    path = str(tmp_path / "big.csv")
+    tracemalloc.start()
+    try:
+        write_series(path, series)
+        back = read_series(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+    # the read holds its chunks' values and their concatenation, 8 MB each;
+    # formatting all rows at once held a Python float per value: 72 MB
+    assert peak < 2 * values.nbytes + 8 * 2**20
+
+
 def test_f1_histogram_file(tmp_path):
     from qnldyn.tsa.returns import return_time_histogram
 
@@ -287,6 +451,26 @@ def test_f1_histogram_file(tmp_path):
     assert header["columns"] == "tau,count"
     counts = np.array([int(c) for _, c in rows])
     assert counts.sum() == len(hist.return_times)
+
+
+@pytest.mark.baseline_kernels
+def test_curve_and_histogram_rows_match_per_row_formatting(tmp_path):
+    from qnldyn.tsa.lyapunov import LyapunovCurve
+    from qnldyn.tsa.returns import ReturnTimeHistogram
+
+    rng = np.random.default_rng(47)
+    s_values = np.concatenate((rng.standard_normal(500) * 10.0 ** rng.integers(-9, 9, 500),
+                               WRITER_EDGES))
+    curve = LyapunovCurve(np.arange(s_values.size), s_values, 0.02, 3, 7, 42, 0.013, 900)
+    write_lyapunov_curve(str(tmp_path / "curve.csv"), curve)
+    rows = (tmp_path / "curve.csv").read_text().split("# columns=t,S\n")[1]
+    assert rows == "".join(f"{'%.17g' % (t * curve.dt)},{'%.17g' % s}\n"
+                           for t, s in zip(curve.t_offsets, curve.s_values))
+    hist = ReturnTimeHistogram(0.01, rng.integers(1, 3000, 5000), 17.5, 0.25, dt=0.5)
+    write_f1_histogram(str(tmp_path / "hist.csv"), hist)
+    rows = (tmp_path / "hist.csv").read_text().split("# columns=tau,count\n")[1]
+    taus, counts = np.unique(hist.return_times, return_counts=True)
+    assert rows == "".join(f"{'%.17g' % t},{c}\n" for t, c in zip(taus, counts))
 
 
 def test_recurrence_outputs(tmp_path, dense):
