@@ -188,13 +188,14 @@ def _parse_chunk(path: str, data: bytes, first_lineno: int) -> tuple[np.ndarray,
     """The numbers in data's rows (it ends with a newline), and its newline count.
 
     Rows of up to _ROW bytes of `[-]digits[.digits]` are parsed in place,
-    others by `float()`; if that fails, _parse_rows reads the chunk."""
+    empty rows dropped, others parsed by `float()`; if that fails,
+    _parse_rows reads the chunk."""
     masks = _tables()[5]
     a = np.frombuffer(data, np.uint8)
     nl = np.flatnonzero(a == ord("\n"))
     start = np.concatenate(([0], nl[:-1] + 1))
     n, length, neg = nl.size, nl - start, a[start] == ord("-")
-    slow = (length > _ROW) | (length == neg)  # long, empty or "-"
+    slow = (length > _ROW) | (neg & (length == 1))  # long or "-"
     # each row's last _ROW bytes as digit values: the bytes before the row
     # and its leading "-" masked out, its point zeroed
     windows = np.ndarray((a.size + 1,), f"V{_ROW}", b"0" * _ROW + data, strides=(1,))
@@ -233,7 +234,7 @@ def _parse_chunk(path: str, data: bytes, first_lineno: int) -> tuple[np.ndarray,
         values[slow] = [float(data[i:j]) for i, j in zip(start[slow], nl[slow])]
     except ValueError:
         return _parse_rows(path, data.split(b"\n"), first_lineno), n
-    return values, n
+    return values[length > 0], n
 
 
 def _row_chunks(fh):
@@ -308,10 +309,12 @@ def write_f1_histogram(path: str, hist, metadata: dict | None = None) -> None:
 
 
 def _pair_blocks(rec):
-    """Yield `i,j` rows as bytes, _PAIR_BLOCK pairs at a time.
+    """Yield `i,j` rows, _PAIR_BLOCK pairs at a time.
 
-    Each index is looked up in a table of NUL-padded decimal strings, the
-    row is laid out at fixed width, and the NUL padding is dropped.
+    Each index is looked up in a table of NUL-padded decimal strings and the
+    row is laid out at fixed width.  Pairs come sorted by i, with j > i, so
+    in a block whose first i has the full width no index is padded: that
+    block is yielded as the row array itself, the others without their NULs.
     """
     width = len(str(rec.n_points - 1))
     digits = np.arange(rec.n_points).astype(f"S{width}")
@@ -319,7 +322,7 @@ def _pair_blocks(rec):
     for ii, jj in rec.index_blocks(_PAIR_BLOCK):
         rows = np.empty(ii.size, row)
         rows["i"], rows["sep"], rows["j"], rows["end"] = digits[ii], b",", digits[jj], b"\n"
-        yield _text(rows)
+        yield rows if ii[0] >= 10 ** (width - 1) else _text(rows)
 
 
 def write_recurrence_pairs(path: str, rec, metadata: dict | None = None) -> None:
@@ -349,7 +352,10 @@ def write_recurrence_bitmap(path: str, rec) -> None:
     the plot (i rightward, j upward) lands at file row n-1-j.  Bits are
     set from the pairs _PAIR_BLOCK at a time, each pair and its mirror,
     then the diagonal, so memory stays at the n*ceil(n/8) bytes of the
-    image plus one block.
+    image plus one block.  They are added, not OR-ed: the stored pairs are
+    unique with i < j, their mirrors lie below the diagonal, so every pixel
+    is set once, the bits added into a byte are distinct, and the sum is
+    their OR without a carry.
     """
     n = rec.n_points
     row_bytes = (n + 7) // 8
@@ -357,7 +363,7 @@ def write_recurrence_bitmap(path: str, rec) -> None:
 
     def set_pixels(cols, rows):
         at = (n - 1 - rows) * row_bytes + (cols >> 3)
-        np.bitwise_or.at(image, at, (0x80 >> (cols & 7)).astype(np.uint8))
+        np.add.at(image, at, (0x80 >> (cols & 7)).astype(np.uint8))
 
     for ii, jj in rec.index_blocks(_PAIR_BLOCK):
         set_pixels(ii, jj)

@@ -12,6 +12,12 @@ from ..series import TimeSeries
 #: loop, and at m = 3 it already spans 4000 samples of the CLI's default rp window.
 MAX_DELAY_LAG = 2000
 
+#: Build options of every k-d tree in tsa: midpoint splits, no shrunk node boxes and
+#: 32-point leaves build and query faster than scipy's defaults on delay embeddings.
+#: Ball and pair queries return exact sets, which the callers sort, so no result
+#: depends on them.
+TREE_OPTIONS = {"balanced_tree": False, "compact_nodes": False, "leafsize": 32}
+
 
 @dataclass(frozen=True)
 class EmbeddedSeries:
@@ -56,6 +62,15 @@ def delay_embed(series: TimeSeries, m: int, delay: int) -> EmbeddedSeries:
     return EmbeddedSeries(np.column_stack(cols), m, delay, series.dt)
 
 
+def _autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_i x_i x_{i+k} for k = 0..max_lag, by one FFT of x zero-padded to the
+    least power of two L >= n + max_lag + 1.  Lag k of the circular sum adds the
+    pairs with j - i = k - L too, but k - L < -(n - 1): there are none."""
+    size = 1 << (x.size + max_lag).bit_length()
+    spec = np.fft.rfft(x, size)
+    return np.fft.irfft(spec * np.conj(spec), size)[: max_lag + 1]
+
+
 def autocorr_delay(series: TimeSeries) -> int:
     """Delay choice: first minimum of the autocorrelation function.
 
@@ -67,9 +82,7 @@ def autocorr_delay(series: TimeSeries) -> int:
     max_lag = min(n // 2, MAX_DELAY_LAG)
     if max_lag < 2:
         return 1
-    size = int(2 ** np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(x, size)
-    acf = np.fft.irfft(spec * np.conj(spec), size)[: max_lag + 1]
+    acf = _autocorrelation(x, max_lag)
     if acf[0] <= 0:
         return 1
     acf = acf / acf[0]

@@ -13,10 +13,10 @@ stretch, per unit time, is the estimate (Kantz, Phys. Lett. A 185, 77
 (1994)).
 
 The scan builds one k-d tree per embedding dimension m and queries it at
-every radius; only one tree is alive at a time.  The trees are built
-unbalanced (split at the midpoint, not the median), which builds faster and
-returns the same sorted neighbor lists.  References are processed in blocks
-of _QUERY_BLOCK, one pass per block:
+every radius; only one tree is alive at a time.  The trees take
+embedding.TREE_OPTIONS (midpoint splits, 32-point leaves), which build and
+query faster and return the same sorted neighbor lists.  References are
+processed in blocks of _QUERY_BLOCK, one pass per block:
 
   - the block's neighbor lists are flattened into one index array and
     dropped, so only one block's neighbors are held;
@@ -45,7 +45,7 @@ from scipy.spatial import cKDTree
 
 from ..errors import NeighborhoodError
 from ..series import TimeSeries, normalize_series
-from .embedding import EmbeddedSeries, autocorr_delay, delay_embed
+from .embedding import TREE_OPTIONS, EmbeddedSeries, autocorr_delay, delay_embed
 
 #: Default embedding dimensions scanned for slope agreement.
 SCAN_DIMENSIONS = (3, 4, 5)
@@ -220,7 +220,7 @@ def lyapunov_curve(
     points = emb.points
     usable = _usable_points(emb, t_max)
     if tree is None:
-        tree = cKDTree(points[:usable], balanced_tree=False)
+        tree = cKDTree(points[:usable], **TREE_OPTIONS)
     elif tree.n != usable:
         raise ValueError(
             f"tree indexes {tree.n} points; it must index the {usable} points "
@@ -356,7 +356,7 @@ def lyapunov_scan(
     for m in m_values:
         emb = delay_embed(normed, m, delay)
         th = theiler if theiler is not None else 2 * delay * m
-        tree = cKDTree(emb.points[: _usable_points(emb, t_max)], balanced_tree=False)
+        tree = cKDTree(emb.points[: _usable_points(emb, t_max)], **TREE_OPTIONS)
         for eps in epsilons:
             try:
                 curve = lyapunov_curve(emb, eps, th, t_max, tree=tree)

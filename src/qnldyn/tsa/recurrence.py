@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .embedding import EmbeddedSeries
+from .embedding import TREE_OPTIONS, EmbeddedSeries
 
 
 #: Stored pairs split into (i, j) indices per block by the diagonal statistics.
@@ -122,7 +122,8 @@ def recurrence_plot(
     if not (0 <= start < stop <= len(emb)):
         raise ValueError(f"window {window} outside the embedded range")
     n = stop - start
-    pairs = cKDTree(emb.points[start:stop]).query_pairs(epsilon, output_type="ndarray")
+    pairs = cKDTree(emb.points[start:stop], **TREE_OPTIONS).query_pairs(
+        epsilon, output_type="ndarray")
     keys = pairs[:, 0] * n
     keys += pairs[:, 1]
     del pairs

@@ -1,10 +1,12 @@
 """Shared fixtures: the bound-state basis, expensive enough to build once,
-and the full recurrence matrix that recurrence tests check against."""
+the full recurrence matrix that recurrence tests check against, and the
+autocorrelation delay from an FFT of twice the series length."""
 
 import numpy as np
 import pytest
 
 from qnldyn.morse import MORSE_PRESETS, build_eigenbasis
+from qnldyn.tsa.embedding import MAX_DELAY_LAG
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +27,29 @@ def _dense(rec):
 def dense():
     """_dense, for recurrence tests that check against the full matrix."""
     return _dense
+
+
+def _double_length_delay(series):
+    """autocorr_delay with the acf from an FFT padded to the power of two >= 2n."""
+    x = series.values - series.values.mean()
+    n = x.size
+    max_lag = min(n // 2, MAX_DELAY_LAG)
+    if max_lag < 2:
+        return 1
+    size = int(2 ** np.ceil(np.log2(2 * n)))
+    spec = np.fft.rfft(x, size)
+    acf = np.fft.irfft(spec * np.conj(spec), size)[: max_lag + 1]
+    if acf[0] <= 0:
+        return 1
+    acf = acf / acf[0]
+    for k in range(1, max_lag):
+        if acf[k] < acf[k - 1] and acf[k] <= acf[k + 1]:
+            return k
+    below = np.nonzero(acf[1:] <= 0.0)[0]
+    return int(below[0]) + 1 if below.size else 1
+
+
+@pytest.fixture(scope="session")
+def double_length_delay():
+    """_double_length_delay, the reference every delay is held to."""
+    return _double_length_delay

@@ -203,6 +203,12 @@ def test_series_matches_fingerprint(name):
     np.testing.assert_allclose(got["values"], expected["values"], rtol=0.0, atol=SERIES_ATOL)
 
 
+@pytest.mark.parametrize("name", sorted(SERIES_RUNS))
+def test_series_delay_equals_the_double_length_fft(name, double_length_delay):
+    norm = normalize_series(_cut_text(SERIES_RUNS[name], name, SERIES_SAMPLES))
+    assert autocorr_delay(norm) == double_length_delay(norm)
+
+
 @pytest.mark.parametrize("name", sorted(F1_RUNS))
 def test_f1_histogram_matches_fingerprint(name):
     expected = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["f1"][name]

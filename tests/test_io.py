@@ -2,6 +2,7 @@
 
 import contextlib
 from decimal import Decimal
+import io
 import math
 import os
 import re
@@ -401,6 +402,35 @@ def test_read_series_matches_the_line_parse_on_drawn_rows(tmp_path_factory, rows
         _assert_reads_as_lines(tmp_path_factory.mktemp("rows"), body)
 
 
+def test_read_series_drops_blank_rows_without_the_line_parse(tmp_path):
+    values = np.random.default_rng(53).standard_normal(10**5)
+    rows = [b"%.17g" % v for v in values.tolist()]
+    rows[1000:1000] = rows[5000:5000] = [b""]  # blank rows mid-chunk
+    # a row ends 2 bytes before the first chunk's edge and two blank rows follow:
+    # the first chunk ends with one and the second starts with the other
+    ends = np.cumsum([len(r) + 1 for r in rows])
+    k = int(np.searchsorted(ends, seriesio._READ_CHUNK - 1, side="right"))
+    gap = seriesio._READ_CHUNK - 1 - int(ends[k - 1])
+    filler = [b"0" * (gap - 1)] if gap else []
+    rows[k:k] = filler + [b"", b""]
+    rows[90000:90000] = [b"", b""]  # in a later chunk
+    body = b"\n".join(rows) + b"\n"
+    chunks = list(seriesio._row_chunks(io.BytesIO(body)))
+    assert chunks[0].endswith(b"\n\n") and chunks[1].startswith(b"\n")
+    expected = np.insert(values, k - 2, 0.0) if gap > 1 else values
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"# dt=0.5\n" + body)
+    with mock.patch.object(seriesio, "_parse_rows", side_effect=AssertionError("line parse")):
+        back = read_series(str(path))
+    assert np.array_equal(back.values.view(np.int64), expected.view(np.int64))
+    # a whitespace-only row still sends its chunk to the line parse
+    path.write_bytes(b"# dt=0.5\n" + body.replace(b"\n\n", b"\n \n", 1))
+    with mock.patch.object(seriesio, "_parse_rows", wraps=seriesio._parse_rows) as parse:
+        back = read_series(str(path))
+    assert parse.call_count == 1
+    assert np.array_equal(back.values.view(np.int64), expected.view(np.int64))
+
+
 def test_read_series_names_the_line_of_a_bad_row_in_an_in_place_chunk(tmp_path):
     lines = ["# dt=0.5"] + ["%.17g" % v for v in np.linspace(-3.0, 3.0, 999)]
     lines[700] = "1.2.3"  # file line 701
@@ -551,9 +581,41 @@ def _assert_writers_match_oracles(tmp_path, rec, dense):
 
 
 @settings(max_examples=80, deadline=None)
-@given(rec=recurrence_data())
-def test_recurrence_writers_match_row_and_dense_oracles(tmp_path_factory, dense, rec):
-    _assert_writers_match_oracles(tmp_path_factory.mktemp("rec"), rec, dense)
+@given(rec=recurrence_data(), pair_block=st.sampled_from((1, 2, 3, seriesio._PAIR_BLOCK)))
+def test_recurrence_writers_match_row_and_dense_oracles(tmp_path_factory, dense, rec,
+                                                        pair_block):
+    with mock.patch.object(seriesio, "_PAIR_BLOCK", pair_block):
+        _assert_writers_match_oracles(tmp_path_factory.mktemp("rec"), rec, dense)
+
+
+@pytest.mark.parametrize("pair_block", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 9, 17])
+def test_bitmap_bytes_add_bits_from_separate_blocks(tmp_path, dense, n, pair_block):
+    # Every pair, then every other one: the first byte of plot row 3 takes
+    # columns 0-2 from pairs (i, 3), 4-7 from the mirrors of (3, j) and 3 from
+    # the diagonal, each added by its own np.add.at call at block size 1.
+    ii, jj = np.triu_indices(n, 1)
+    with mock.patch.object(seriesio, "_PAIR_BLOCK", pair_block):
+        for step in (1, 2):
+            rec = RecurrenceData(n, 0.25, ii[::step], jj[::step])
+            _assert_writers_match_oracles(tmp_path, rec, dense)
+
+
+@pytest.mark.parametrize("pair_block", [1, 2, 7])
+@pytest.mark.parametrize("n", [10, 11, 1000, 1001, 1002])
+def test_pair_rows_in_blocks_on_both_sides_of_the_full_width(tmp_path, dense, n, pair_block):
+    # A block whose first i has the full width is written without the NUL pass;
+    # the diagonal band gives every i pairs, so blocks start on both sides of it.
+    ii, jj = np.triu_indices(n, 1)
+    keep = (jj - ii <= 3) | (np.random.default_rng(n).random(ii.size) < 2e-3)
+    rec = RecurrenceData(n, 0.25, ii[keep], jj[keep])
+    first = rec.keys[::pair_block] // n
+    full = 10 ** (len(str(n - 1)) - 1)
+    assert (first < full).any()
+    # i < j <= n - 1: at n = 11 and 1001 no i has the full width
+    assert (first >= full).any() == (n - 2 >= full) or pair_block > 1
+    with mock.patch.object(seriesio, "_PAIR_BLOCK", pair_block):
+        _assert_writers_match_oracles(tmp_path, rec, dense)
 
 
 @pytest.mark.parametrize("n", EDGE_WINDOWS)

@@ -46,8 +46,8 @@ from qnldyn.tsa import (
     return_time_histogram,
     sine_series,
 )
-from qnldyn.tsa import lyapunov
-from qnldyn.tsa.embedding import EmbeddedSeries
+from qnldyn.tsa import embedding, lyapunov
+from qnldyn.tsa.embedding import MAX_DELAY_LAG, EmbeddedSeries
 from qnldyn.tsa.lyapunov import fit_slope, fitted
 from qnldyn.tsa.recurrence import RecurrenceData
 
@@ -89,6 +89,36 @@ def test_autocorr_delay_quarter_period():
 
 def test_autocorr_delay_degenerate_series():
     assert autocorr_delay(TimeSeries(np.full(50, 3.7), 1.0)) == 1
+
+
+#: Series lengths: the shortest with two lags, lags capped at n // 2 and at
+#: MAX_DELAY_LAG, and two where n + max_lag + 1 is a power of two (8 and 8192).
+ACF_LENGTHS = (5, 6, 4001, 3 * MAX_DELAY_LAG, 8192 - MAX_DELAY_LAG - 1)
+
+
+@pytest.mark.baseline_kernels
+@pytest.mark.parametrize("n", ACF_LENGTHS)
+def test_autocorrelation_equals_direct_sums_and_the_double_length_fft(n):
+    x = np.random.default_rng(n).standard_normal(n) + np.sin(np.arange(n) / 7.0)
+    max_lag = min(n // 2, MAX_DELAY_LAG)
+    acf = embedding._autocorrelation(x, max_lag)
+    direct = np.array([np.dot(x[: n - k], x[k:]) for k in range(max_lag + 1)])
+    size = int(2 ** np.ceil(np.log2(2 * n)))
+    spec = np.fft.rfft(x, size)
+    double = np.fft.irfft(spec * np.conj(spec), size)[: max_lag + 1]
+    # every |sum| is at most the lag-0 sum, so the bound is relative to it
+    assert acf.shape == (max_lag + 1,)
+    assert_allclose(acf, direct, rtol=0.0, atol=1e-12 * direct[0])
+    assert_allclose(acf, double, rtol=0.0, atol=1e-12 * direct[0])
+
+
+@pytest.mark.baseline_kernels
+@pytest.mark.parametrize("series", [
+    sine_series(3000), sine_series(50000, period=431.7), quasiperiodic_series(20000),
+    logistic_series(5000), logistic_series(40000)], ids=lambda s: s.origin["system"])
+def test_autocorr_delay_equals_the_double_length_fft(series, double_length_delay):
+    for s in (series, normalize_series(series)):
+        assert autocorr_delay(s) == double_length_delay(s)
 
 
 # ---------------------------------------------------------------- returns
