@@ -49,8 +49,8 @@ class TimeSeries:
             raise ValueError("values must be a 1-d array of length >= 2")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -11,12 +11,15 @@ each row written is `"%.17g" % x` byte for byte, and each row read is
 the double `float(row)` gives, both by double-double arithmetic against
 10**k held as hi + lo doubles.  Rows near a rounding tie or midpoint,
 and rows of other shapes, go through `"%.17g"` or `float()` themselves.
+A series read needs a finite positive dt and finite rows; a bad row
+fails with its line number.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import tempfile
 
@@ -130,8 +133,8 @@ def _text(rows: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _atomic_write(path: str, *chunks, stream=()) -> None:
-    """Write bytes-like chunks, then those stream yields, to a temp file; rename it.
+def _atomic_write(path: str, chunks) -> None:
+    """Write the bytes-like chunks an iterable yields to a temp file; rename it.
 
     Any OS failure leaves no temp file and raises OutputError naming path.
     """
@@ -140,7 +143,7 @@ def _atomic_write(path: str, *chunks, stream=()) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
-            for chunk in itertools.chain(chunks, stream):
+            for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -151,13 +154,14 @@ def _atomic_write(path: str, *chunks, stream=()) -> None:
         raise
 
 
-def _header_lines(metadata: dict) -> list[str]:
-    lines = []
-    for key, value in metadata.items():
-        if isinstance(value, float):
-            value = _FLOAT_FMT % value
-        lines.append(f"# {key}={value}")
-    return lines
+def _header(meta: dict, metadata: dict | None = None, columns: str | None = None) -> bytes:
+    """`# key=value` lines of meta updated by metadata, floats at 17 digits,
+    then `# columns=...` if columns is given."""
+    lines = [f"# {key}={_FLOAT_FMT % value if isinstance(value, float) else value}\n"
+             for key, value in {**meta, **(metadata or {})}.items()]
+    if columns is not None:
+        lines.append(f"# columns={columns}\n")
+    return "".join(lines).encode()
 
 
 def write_series(path: str, series: TimeSeries) -> None:
@@ -165,31 +169,20 @@ def write_series(path: str, series: TimeSeries) -> None:
     meta = {"dt": float(series.dt)}
     for key, value in series.origin.items():
         meta.setdefault(str(key), value)
-    header = "\n".join(_header_lines(meta)) + "\n"
     values = series.values
     rows = (_text(_float_rows(values[i : i + _FORMAT_BLOCK], b"\n"))
             for i in range(0, values.size, _FORMAT_BLOCK))
-    _atomic_write(path, header.encode(), stream=rows)
-
-
-def _parse_rows(path: str, lines: list[bytes], first_lineno: int) -> np.ndarray:
-    """The numbers on the non-blank lines; a bad one fails with its line number."""
-    values = []
-    for lineno, line in enumerate(map(bytes.strip, lines), start=first_lineno):
-        try:
-            values += [float(line)] if line else []
-        except ValueError:
-            text = line.decode("utf-8", errors="replace")
-            raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
-    return np.array(values)
+    _atomic_write(path, itertools.chain([_header(meta)], rows))
 
 
 def _parse_chunk(path: str, data: bytes, first_lineno: int) -> tuple[np.ndarray, int]:
     """The numbers in data's rows (it ends with a newline), and its newline count.
 
     Rows of up to _ROW bytes of `[-]digits[.digits]` are parsed in place,
-    empty rows dropped, others parsed by `float()`; if that fails,
-    _parse_rows reads the chunk."""
+    empty rows dropped, others parsed by `float()` in one list.  If that
+    fails or gives nan or inf, only those rows are read again one at a time:
+    a blank-only row is dropped as a blank line, and a row that is not a
+    finite number fails with its line number."""
     masks = _tables()[5]
     a = np.frombuffer(data, np.uint8)
     nl = np.flatnonzero(a == ord("\n"))
@@ -233,7 +226,20 @@ def _parse_chunk(path: str, data: bytes, first_lineno: int) -> tuple[np.ndarray,
     try:
         values[slow] = [float(data[i:j]) for i, j in zip(start[slow], nl[slow])]
     except ValueError:
-        return _parse_rows(path, data.split(b"\n"), first_lineno), n
+        values[slow] = np.nan  # so they are read again below
+    if not np.isfinite(values).all():  # float()'s rows again, one at a time
+        for r in np.flatnonzero(slow).tolist():
+            row = data[start[r] : nl[r]].strip()
+            length[r] = len(row)  # a blank-only row is a blank line
+            try:
+                values[r] = float(row) if row else 0.0
+            except ValueError:
+                error = "not a number"
+            else:
+                error = None if math.isfinite(values[r]) else "not a finite number"
+            if error:
+                text = row.decode("utf-8", errors="replace")
+                raise ValueError(f"{path}:{first_lineno + r}: {error}: {text!r}")
     return values[length > 0], n
 
 
@@ -277,6 +283,8 @@ def read_series(path: str) -> TimeSeries:
         dt = float(meta["dt"])
     except ValueError:
         raise ValueError(f"{path}: dt is not a number: {meta['dt']!r}") from None
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"{path}: dt must be finite and positive: {meta['dt']!r}")
     values = np.concatenate(parts or [np.empty(0)])
     if values.size < 2:
         raise ValueError(f"{path}: fewer than two data rows")
@@ -299,13 +307,9 @@ def write_f1_histogram(path: str, hist, metadata: dict | None = None) -> None:
         "insufficient": hist.insufficient,
         "occupied_bins": int(hist.occupied_bins),
     }
-    if metadata:
-        meta.update(metadata)
-    lines = _header_lines(meta)
-    lines.append("# columns=tau,count")
     counts = np.char.add(counts.astype("S20"), b"\n").view(np.uint8).reshape(-1, 21)
     rows = np.hstack((_float_rows(taus, b","), counts))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode(), _text(rows))
+    _atomic_write(path, [_header(meta, metadata, "tau,count"), _text(rows)])
 
 
 def _pair_blocks(rec):
@@ -337,12 +341,7 @@ def write_recurrence_pairs(path: str, rec, metadata: dict | None = None) -> None
         "n_pairs": int(rec.n_pairs),
         "recurrence_rate": float(rec.recurrence_rate()),
     }
-    if metadata:
-        meta.update(metadata)
-    lines = _header_lines(meta)
-    lines.append("# columns=i,j")
-    header = ("\n".join(lines) + "\n").encode()
-    _atomic_write(path, header, stream=_pair_blocks(rec))
+    _atomic_write(path, itertools.chain([_header(meta, metadata, "i,j")], _pair_blocks(rec)))
 
 
 def write_recurrence_bitmap(path: str, rec) -> None:
@@ -370,7 +369,7 @@ def write_recurrence_bitmap(path: str, rec) -> None:
         set_pixels(jj, ii)
     diagonal = np.arange(n, dtype=np.int64)
     set_pixels(diagonal, diagonal)
-    _atomic_write(path, f"P4\n{n} {n}\n".encode(), image)
+    _atomic_write(path, [f"P4\n{n} {n}\n".encode(), image])
 
 
 def write_lyapunov_curve(path: str, curve, metadata: dict | None = None) -> None:
@@ -388,10 +387,6 @@ def write_lyapunov_curve(path: str, curve, metadata: dict | None = None) -> None
     if curve.fit_window is not None:
         meta["fit_window"] = f"{curve.fit_window[0]}:{curve.fit_window[1]}"
         meta["fit_window_clamped"] = "true" if curve.fit_window_clamped else "false"
-    if metadata:
-        meta.update(metadata)
-    lines = _header_lines(meta)
-    lines.append("# columns=t,S")
     rows = np.hstack((_float_rows(curve.t_offsets * curve.dt, b","),
                       _float_rows(curve.s_values, b"\n")))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode(), _text(rows))
+    _atomic_write(path, [_header(meta, metadata, "t,S"), _text(rows)])

@@ -115,19 +115,6 @@ def _usable_points(emb: EmbeddedSeries, t_max: int) -> int:
     return usable
 
 
-def _thin_positions(sizes: np.ndarray, k: int) -> np.ndarray:
-    """Row r: the k positions np.linspace(0, sizes[r] - 1, k).astype(np.int64)
-    picks, computed as linspace does (i * ((n - 1) / (k - 1)), the last set
-    to n - 1, truncated), so the thinned neighbors are the same bit for bit.
-    For sizes > k the positions are strictly increasing."""
-    if k == 1:  # linspace's single sample is the start; its step is undefined
-        return np.zeros((sizes.size, 1), dtype=np.int64)
-    last = (sizes - 1).astype(float)
-    pos = np.arange(k, dtype=float) * (last / (k - 1))[:, None]
-    pos[:, -1] = last
-    return pos.astype(np.int64)
-
-
 def _block_neighbors(tree, points, block, epsilon, theiler):
     """Neighborhoods of one block of references, as flat arrays.
 
@@ -156,7 +143,10 @@ def _block_neighbors(tree, points, block, epsilon, theiler):
     if thin.any():
         starts = np.cumsum(sizes) - sizes
         pick = np.repeat(~thin, sizes)
-        pos = _thin_positions(sizes[thin], MAX_NEIGHBORS)
+        # row r is np.linspace(0, sizes[r] - 1, MAX_NEIGHBORS).astype(np.int64) bit for
+        # bit, strictly increasing: numpy rounds a batch differently from single rows
+        # only when some step is 0, which sizes > MAX_NEIGHBORS excludes
+        pos = np.linspace(0, sizes[thin] - 1, MAX_NEIGHBORS, axis=1).astype(np.int64)
         pos += starts[thin, None]
         pick[pos.ravel()] = True
         nb = nb[pick]

@@ -192,7 +192,7 @@ def test_analyze_lyap_rejects_curves_that_share_a_file(tmp_path, capsys, options
     assert sorted(os.listdir(tmp_path)) == ["logistic.csv"]
 
 
-def test_exit_code_one_for_config_and_data_errors(tmp_path):
+def test_exit_code_one_for_config_and_data_errors(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("system = kerr\nkerr.bogus = 1\n")
     assert main(["simulate", str(bad_cfg)]) == 1
@@ -200,6 +200,14 @@ def test_exit_code_one_for_config_and_data_errors(tmp_path):
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("# dt=0.1\n1.0\n2.0\nwhoops\n")
     assert main(["analyze", "f1", str(bad_csv)]) == 1
+
+    # an infinite dt fails on reading, before any analysis runs
+    rows = "".join("%.17g\n" % v for v in logistic_series(1000).values)
+    bad_csv.write_text("# dt=inf\n" + rows)
+    for command in ("f1", "lyap"):
+        assert main(["analyze", command, str(bad_csv)]) == 1
+        assert f"{bad_csv}: dt must be finite and positive: 'inf'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "bad.csv"]
 
 
 def test_exit_code_two_for_numerical_contract_violation(tmp_path):

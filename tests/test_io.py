@@ -265,6 +265,17 @@ def test_read_series_errors(tmp_path):
     with pytest.raises(ValueError, match="dt is not a number"):
         read_series(str(bad_dt))
 
+    for dt in ("inf", "-0.1", "nan", "0"):
+        bad_dt.write_text(f"# dt={dt}\n1.0\n2.0\n")
+        message = rf"bad_dt\.csv: dt must be finite and positive: '{dt}'"
+        with pytest.raises(ValueError, match=message):
+            read_series(str(bad_dt))
+
+    for row in ("nan", "inf", "-inf", "1e999"):
+        bad_row.write_text(f"# dt=0.1\n1.0\n\n{row}\n2.0\n")
+        with pytest.raises(ValueError, match=rf"bad_row\.csv:4: not a finite number: '{row}'"):
+            read_series(str(bad_row))
+
 
 # ------------------------------------------------------------------ float columns
 #
@@ -402,6 +413,30 @@ def test_read_series_matches_the_line_parse_on_drawn_rows(tmp_path_factory, rows
         _assert_reads_as_lines(tmp_path_factory.mktemp("rows"), body)
 
 
+#: Rows float() rejects, some of which the in-place parse would take apart.
+BAD_TOKENS = ["1.2.3", "--1", "1e", "-", ".", "-.", "5..", "1-2", "1 2", "0x10", "1__0", "_1",
+              "1,5", "e5", "one", "++1", "1e5e5", "12345678901234567890.5.5"]
+
+
+@pytest.mark.baseline_kernels
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.sampled_from(READER_ROWS + [" ", "\t", " \r", "  \t  "]), max_size=60),
+       at=st.integers(0, 60), token=st.sampled_from(BAD_TOKENS),
+       pad=st.sampled_from(["", " ", "\t", "  "]), chunk=st.sampled_from([64, 1 << 18]))
+def test_read_series_names_the_file_line_of_a_bad_row(tmp_path_factory, rows, at, token, pad,
+                                                     chunk):
+    at = min(at, len(rows))
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    bad = rows[:at] + [pad + token + pad] + rows[at:] + ["1", "2"]
+    path.write_bytes(("# dt=0.5\n" + "\n".join(bad) + "\n").encode())
+    with mock.patch.object(seriesio, "_READ_CHUNK", chunk):
+        message = f"{path}:{at + 2}: not a number: {token!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_series(str(path))
+        bad[at] = pad + pad
+        _assert_reads_as_lines(path.parent, ("\n".join(bad) + "\n").encode())
+
+
 def test_read_series_drops_blank_rows_without_the_line_parse(tmp_path):
     values = np.random.default_rng(53).standard_normal(10**5)
     rows = [b"%.17g" % v for v in values.tolist()]
@@ -420,14 +455,11 @@ def test_read_series_drops_blank_rows_without_the_line_parse(tmp_path):
     expected = np.insert(values, k - 2, 0.0) if gap > 1 else values
     path = tmp_path / "s.csv"
     path.write_bytes(b"# dt=0.5\n" + body)
-    with mock.patch.object(seriesio, "_parse_rows", side_effect=AssertionError("line parse")):
-        back = read_series(str(path))
+    back = read_series(str(path))
     assert np.array_equal(back.values.view(np.int64), expected.view(np.int64))
-    # a whitespace-only row still sends its chunk to the line parse
+    # a whitespace-only row reads as a blank line
     path.write_bytes(b"# dt=0.5\n" + body.replace(b"\n\n", b"\n \n", 1))
-    with mock.patch.object(seriesio, "_parse_rows", wraps=seriesio._parse_rows) as parse:
-        back = read_series(str(path))
-    assert parse.call_count == 1
+    back = read_series(str(path))
     assert np.array_equal(back.values.view(np.int64), expected.view(np.int64))
 
 
@@ -549,7 +581,8 @@ def _oracle_pairs(rec, metadata=None):
     }
     if metadata:
         meta.update(metadata)
-    lines = seriesio._header_lines(meta)
+    lines = [f"# {key}={'%.17g' % value if isinstance(value, float) else value}"
+             for key, value in meta.items()]
     lines.append("# columns=i,j")
     lines.extend(f"{i},{j}" for i, j in zip(rec.ii, rec.jj))
     return ("\n".join(lines) + "\n").encode()
@@ -658,7 +691,7 @@ def test_atomic_write_failure_keeps_old_file(tmp_path):
     path = tmp_path / "out.pbm"
     path.write_bytes(b"old contents")
     with pytest.raises(TypeError):
-        seriesio._atomic_write(str(path), b"new header", object())
+        seriesio._atomic_write(str(path), [b"new header", object()])
     assert path.read_bytes() == b"old contents"
     assert sorted(os.listdir(tmp_path)) == ["out.pbm"]
 

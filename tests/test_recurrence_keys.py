@@ -96,7 +96,8 @@ def oracle_pairs_bytes(rec, metadata):
         "recurrence_rate": float(rec.recurrence_rate()),
         **metadata,
     }
-    lines = seriesio._header_lines(meta)
+    lines = [f"# {key}={'%.17g' % value if isinstance(value, float) else value}"
+             for key, value in meta.items()]
     lines.append("# columns=i,j")
     out = [("\n".join(lines) + "\n").encode()]
     width = len(str(rec.n_points - 1))
