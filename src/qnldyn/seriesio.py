@@ -270,7 +270,10 @@ def read_series(path: str) -> TimeSeries:
                 fh.seek(-len(raw), os.SEEK_CUR)
                 break
             lineno += 1
-            key, eq, value = line[1:].decode("utf-8").partition("=")
+            try:
+                key, eq, value = line[1:].decode("utf-8").partition("=")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: header line is not UTF-8: {line!r}") from None
             if eq:
                 meta[key.strip()] = value.strip()
         for chunk in filter(None, _row_chunks(fh)):

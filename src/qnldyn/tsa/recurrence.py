@@ -6,6 +6,12 @@ only off-diagonal pairs with i < j are stored; the main diagonal is
 implied.  Diagonal-line structure (spacings between strong diagonals,
 lengths of unbroken segments) separates periodic, quasi-periodic, and
 mixing signals.
+
+The pairs are held as one sorted int64 array of keys i * n + j.  Keys are
+sorted in the narrowest unsigned dtype that holds n**2 - 1 (uint32 up to
+n = 65536), and consumers decode them a block at a time.  The line pass
+holds one such narrow diagonal key per pair while it runs, 4 bytes at the
+usual windows, so the peak stays at the pair search.
 """
 
 from __future__ import annotations
@@ -18,8 +24,13 @@ from scipy.spatial import cKDTree
 from .embedding import TREE_OPTIONS, EmbeddedSeries
 
 
-#: Stored pairs split into (i, j) indices per block by the diagonal statistics.
+#: Stored pairs decoded per block by the diagonal statistics.
 _LINE_BLOCK = 1 << 16
+
+
+def _key_dtype(n_points: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every key below n_points**2."""
+    return np.min_scalar_type(n_points * n_points - 1)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -82,7 +93,9 @@ class RecurrenceData:
     def index_blocks(self, size: int):
         """Yield (ii, jj) of consecutive stored pairs, at most size at a time."""
         for lo in range(0, self.keys.size, size):
-            yield np.divmod(self.keys[lo : lo + size], self.n_points)
+            block = self.keys[lo : lo + size]
+            ii = block // self.n_points
+            yield ii, block - ii * self.n_points
 
     @property
     def n_pairs(self) -> int:
@@ -113,8 +126,9 @@ def recurrence_plot(
     The caller picks the window (start, stop), 0 <= start < stop <= len(emb);
     pair search runs through a k-d tree, so moderate windows stay far
     below the naive quadratic cost.  The searched (i, j) pairs are folded
-    into keys and dropped before the keys are sorted in place, so no later
-    step holds more memory than the search did.
+    into keys of the narrowest unsigned dtype and dropped; the keys are
+    sorted in place and widened once to int64, so no later step holds more
+    memory than the search did.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -124,34 +138,22 @@ def recurrence_plot(
     n = stop - start
     pairs = cKDTree(emb.points[start:stop], **TREE_OPTIONS).query_pairs(
         epsilon, output_type="ndarray")
-    keys = pairs[:, 0] * n
-    keys += pairs[:, 1]
+    keys = pairs[:, 0].astype(_key_dtype(n))
+    keys *= n
+    np.add(keys, pairs[:, 1], out=keys, casting="unsafe")
     del pairs
     keys.sort()
-    return RecurrenceData.from_keys(n, epsilon, keys, start)
+    return RecurrenceData.from_keys(n, epsilon, keys.astype(np.int64), start)
 
 
 def diagonal_profile(rec: RecurrenceData) -> np.ndarray:
     """Recurrent-point count per diagonal offset k = j - i, k >= 1."""
-    profile = np.zeros(rec.n_points, dtype=np.int64)
-    for ii, jj in rec.index_blocks(_LINE_BLOCK):
-        profile += np.bincount(jj - ii, minlength=rec.n_points)
+    n = rec.n_points
+    profile = np.zeros(n, dtype=np.int64)
+    for lo in range(0, rec.keys.size, _LINE_BLOCK):
+        block = rec.keys[lo : lo + _LINE_BLOCK]
+        profile += np.bincount(block - block // n * (n + 1), minlength=n)
     return profile
-
-
-def _row_bands(rec: RecurrenceData):
-    """Yield (r0, r1, ii, jj): the pairs of rows r0 <= i < r1, bands in row order.
-
-    Each band holds about _LINE_BLOCK pairs and ends with a whole row, and
-    the next band starts at r1.
-    """
-    keys, n = rec.keys, rec.n_points
-    lo = r0 = 0
-    while lo < keys.size:
-        r1 = int(keys[min(lo + _LINE_BLOCK, keys.size) - 1]) // n + 1
-        hi = int(np.searchsorted(keys, r1 * n))
-        yield (r0, r1, *np.divmod(keys[lo:hi], n))
-        lo, r0 = hi, r1
 
 
 def diagonal_line_lengths(rec: RecurrenceData, l_min: int = 2) -> np.ndarray:
@@ -159,41 +161,31 @@ def diagonal_line_lengths(rec: RecurrenceData, l_min: int = 2) -> np.ndarray:
 
     A segment is a maximal run of consecutive recurrent (i, i+k) at fixed
     offset k >= 1; only runs of at least l_min points are reported, ordered
-    by offset, then by first point.  Rows are taken in bands (`_row_bands`);
-    a run that reaches a band's last row carries its length, one per
-    offset, into the next band.
+    by offset, then by first point.  The pairs are sorted once by their
+    diagonal keys k * n + i, in the narrowest unsigned dtype that holds
+    them; a run is a stretch of keys that step by 1, and runs on different
+    offsets never join, because the key jumps by at least k + 1 between
+    them.
     """
-    n = rec.n_points
-    carry = np.zeros(n, dtype=np.int64)  # carry[k]: run on offset k ending at row r0 - 1
-    carried = np.empty(0, dtype=np.int64)  # the offsets with such a run
-    starts, lengths = [], []  # finished runs: k * n + first row, and length
-
-    def finish(k, last, length):
-        keep = length >= l_min
-        starts.append((k * n + last - length + 1)[keep])
-        lengths.append(length[keep])
-
-    for r0, r1, ii, jj in _row_bands(rec):
-        off, ii = np.divmod(np.sort((jj - ii) * n + ii), n)
-        breaks = np.flatnonzero((np.diff(off) != 0) | (np.diff(ii) != 1))
-        first = np.concatenate(([0], breaks + 1))
-        end = np.concatenate((breaks, [off.size - 1]))
-        k, last, length = off[first], ii[end], end - first + 1
-        joins = ii[first] == r0
-        length[joins] += carry[k[joins]]
-        carry[k[joins]] = 0
-        broken = carried[carry[carried] > 0]
-        finish(broken, r0 - 1, carry[broken])
-        carry[broken] = 0
-        open_ = last == r1 - 1
-        carried = k[open_]
-        carry[carried] = length[open_]
-        finish(k[~open_], last[~open_], length[~open_])
-    if carried.size:
-        finish(carried, r1 - 1, carry[carried])
-    if not lengths:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(lengths)[np.argsort(np.concatenate(starts))]
+    keys, n = rec.keys, rec.n_points
+    diag = np.empty(keys.size, dtype=_key_dtype(n))
+    for lo in range(0, keys.size, _LINE_BLOCK):
+        block = keys[lo : lo + _LINE_BLOCK]
+        ii = block // n
+        diag[lo : lo + _LINE_BLOCK] = (block - ii * (n + 1)) * n + ii
+    diag.sort()
+    lengths = [np.empty(0, dtype=np.int64)]
+    first = 0  # position of the open run's first key
+    for lo in range(0, diag.size, _LINE_BLOCK):
+        hi = lo + _LINE_BLOCK
+        last = np.flatnonzero(np.diff(diag[lo : hi + 1]) != 1) + lo
+        if hi >= diag.size:
+            last = np.append(last, diag.size - 1)
+        length = np.diff(last, prepend=first - 1)
+        lengths.append(length[length >= l_min])
+        if last.size:
+            first = last[-1] + 1
+    return np.concatenate(lengths)
 
 
 def mean_diagonal_length(rec: RecurrenceData, l_min: int = 2) -> float:

@@ -210,6 +210,14 @@ def test_exit_code_one_for_config_and_data_errors(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "bad.csv"]
 
 
+def test_non_utf8_series_header_names_its_line(tmp_path, capsys):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(b"# dt=0.5\n# note=\xff\n1.0\n2.0\n")
+    assert main(["analyze", "f1", str(bad_csv)]) == 1
+    assert f"{bad_csv}:2: header line is not UTF-8: b'# note=\\xff'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.csv"]
+
+
 def test_exit_code_two_for_numerical_contract_violation(tmp_path):
     rng = np.random.default_rng(23)
     path = str(tmp_path / "noise.csv")

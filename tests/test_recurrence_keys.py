@@ -9,6 +9,7 @@ arrays and every temporary built from them; every output must match them.
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
@@ -233,6 +234,77 @@ def test_runs_carry_across_line_band_edges(line_block):
     with mock.patch.object(recurrence, "_LINE_BLOCK", line_block):
         assert diagonal_line_lengths(rec, 2).tolist() == [37]
         assert np.array_equal(diagonal_line_lengths(rec, 1), oracle_line_lengths(old, 1))
+
+
+def assert_lines_match(rec, old):
+    for l_min in (1, 2, 3):
+        lengths = diagonal_line_lengths(rec, l_min)
+        assert np.array_equal(lengths, oracle_line_lengths(old, l_min))
+        assert lengths.dtype == np.int64
+
+
+#: Windows on both sides of the uint8 -> uint16 and uint16 -> uint32 key dtypes.
+KEY_DTYPE_WINDOWS = {16: np.uint8, 17: np.uint16, 256: np.uint16, 257: np.uint32}
+
+
+@pytest.mark.baseline_kernels
+@pytest.mark.parametrize("n", KEY_DTYPE_WINDOWS)
+def test_line_pass_across_key_dtype_boundaries(n):
+    """Keys sorted in uint8, uint16 or uint32 give the int64 fold's keys and runs."""
+    assert recurrence._key_dtype(n) == KEY_DTYPE_WINDOWS[n]
+    rng = np.random.default_rng(n)
+    t = np.arange(n + 20)
+    values = np.sin(2 * np.pi * t / rng.uniform(5, 13)) + 0.1 * rng.random(t.size)
+    emb = delay_embed(TimeSeries(values, 1.0), 2, 1)
+    for epsilon in (0.5, 0.9):
+        rec = recurrence_plot(emb, epsilon, (3, 3 + n))
+        old = oracle_recurrence_plot(emb, epsilon, (3, 3 + n))
+        assert rec.n_pairs > n and diagonal_line_lengths(rec, 3).size > 0
+        assert np.array_equal(rec.keys, old._keys) and rec.keys.dtype == np.int64
+        assert_lines_match(rec, old)
+
+
+@pytest.mark.baseline_kernels
+@pytest.mark.parametrize("line_block", [1, 2, 7])
+def test_line_pass_on_uint64_keys(line_block):
+    """At n = 65537, n**2 - 1 needs uint64; runs cross every block edge."""
+    n = 65537
+    assert recurrence._key_dtype(n) == np.uint64
+    runs = [(0, 1, 9), (11, 1, 4), (20, 1, 1), (0, 5, 2), (7, 5, 13), (n - 40, 38, 2),
+            (65000, 536, 1), (0, n - 2, 2), (0, n - 1, 1), (n - 8, 3, 5)]
+    ii = np.concatenate([np.arange(i, i + length) for i, _, length in runs])
+    jj = ii + np.repeat([k for _, k, _ in runs], [length for *_, length in runs])
+    keys = np.unique(ii * n + jj)
+    rec, old = both_forms(n, keys)
+    with mock.patch.object(recurrence, "_LINE_BLOCK", line_block):
+        assert_lines_match(rec, old)
+    assert diagonal_line_lengths(rec, 2).tolist() == [9, 4, 5, 2, 13, 2, 2]
+
+
+@pytest.mark.baseline_kernels
+def test_line_pass_memory():
+    """The line pass holds 4-byte diagonal keys per pair plus a few blocks.
+
+    About 1e6 pairs on 25 diagonals of a 40000-point window; measured 5.5 MB
+    against this bound of 6.1 MB.  A full-length int64 temporary would need
+    at least 8 more bytes per pair.
+    """
+    n = 40000
+    k = np.arange(1, 26)
+    ii = np.concatenate([np.arange(n - off) for off in k])
+    jj = ii + np.repeat(k, n - k)
+    keep = np.random.default_rng(5).random(ii.size) > 0.01
+    rec = RecurrenceData.from_keys(n, 0.1, np.sort(ii[keep] * n + jj[keep]))
+    del ii, jj, keep
+    tracemalloc.start()
+    try:
+        lengths = diagonal_line_lengths(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths.size > 9000 and lengths.sum() > 0.98 * rec.n_pairs
+    bound = 4 * rec.n_pairs + 4 * 8 * recurrence._LINE_BLOCK
+    assert peak < bound, f"line pass peaked at {peak / 1e6:.2f} MB"
 
 
 @settings(max_examples=80, deadline=None)
