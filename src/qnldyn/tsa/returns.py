@@ -103,10 +103,12 @@ def return_time_histogram(series: TimeSeries, cell_size: float) -> ReturnTimeHis
 
     With fewer than MIN_RETURNS recorded gaps the summary is marked
     insufficient and carries no fit score; occupied_bins counts the fit
-    bins the return times fall in either way.
+    bins the return times fall in either way.  ValueError when cell_size
+    is not finite and positive, or when the series never leaves its
+    reference cell (the cell is too wide) or never comes back to it.
     """
-    if not cell_size > 0:
-        raise ValueError("cell_size must be positive")
+    if not 0 < cell_size < np.inf:
+        raise ValueError("cell_size must be finite and positive")
     values = series.values
     lo = values.min()
     cells = np.floor((values - lo) / cell_size).astype(np.int64)
@@ -115,6 +117,8 @@ def return_time_histogram(series: TimeSeries, cell_size: float) -> ReturnTimeHis
     entries = np.nonzero(in_cell[1:] & ~in_cell[:-1])[0] + 1
     entries = np.concatenate(([0], entries))  # sample 0 opens the first gap
     times = np.diff(entries)
+    if in_cell.all():
+        raise ValueError("series never left the reference cell; reduce cell_size")
     if times.size == 0:
         raise ValueError(
             "series never returned to the reference cell; "

@@ -1,6 +1,7 @@
 """Shared fixtures: the bound-state basis, expensive enough to build once,
-the full recurrence matrix that recurrence tests check against, and the
-autocorrelation delay from an FFT of twice the series length."""
+the full recurrence matrix that recurrence tests check against, the
+autocorrelation delay from an FFT of twice the series length, and the
+spectral kernel's level rule that phases every level of nonzero weight."""
 
 import numpy as np
 import pytest
@@ -53,3 +54,17 @@ def _double_length_delay(series):
 def double_length_delay():
     """_double_length_delay, the reference every delay is held to."""
     return _double_length_delay
+
+
+def _exact_zero_levels(bounds, size):
+    """spectral._resolvable under the earlier rule: every level of nonzero
+    bound is phased, whatever its size.  A zero bound means a zero
+    coefficient (or an all-zero row and column of the operator), whose
+    terms are exact zeros."""
+    return np.flatnonzero(bounds)
+
+
+@pytest.fixture(scope="session")
+def exact_zero_levels():
+    """_exact_zero_levels, the oracle the resolvable-level rule is held to."""
+    return _exact_zero_levels

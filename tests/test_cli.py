@@ -210,6 +210,21 @@ def test_exit_code_one_for_config_and_data_errors(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "bad.csv"]
 
 
+@pytest.mark.parametrize("cell_size, message", [
+    ("5", "series never left the reference cell; reduce cell_size"),
+    ("inf", "cell_size must be finite and positive"),
+    ("nan", "cell_size must be finite and positive"),
+])
+def test_f1_cell_too_wide_or_not_finite_names_the_remedy(tmp_path, capsys, cell_size, message):
+    """The normalized series spans [0, 1], so a cell of width 5 holds every
+    sample: the series never left its cell, and the remedy is a smaller one."""
+    path = str(tmp_path / "sine.csv")
+    write_series(path, sine_series(2000, 97.31))
+    assert main(["analyze", "f1", path, "--cell-size", cell_size]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["sine.csv"]
+
+
 def test_non_utf8_series_header_names_its_line(tmp_path, capsys):
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_bytes(b"# dt=0.5\n# note=\xff\n1.0\n2.0\n")

@@ -10,6 +10,11 @@ Oracles:
   - the survival amplitude at t = 0 is the total population;
   - a level with zero weight contributes nothing, so the energy it is
     given (NaN included) cannot change the series;
+  - the kernel phasing every level of nonzero weight (conftest's
+    exact_zero_levels): the levels the resolvable-level rule drops carry
+    at most 2^-53 sum |M| of bound, and the series moves by no more than
+    that plus rounding;
+  - a diagonal-only banded operator has the constant expectation sum A_0;
   - every phase the kernel generates is np.exp(-1j * E t) to 1e-15, for
     |E t| up to 1e12, at E t = 0, at odd multiples of pi, and on levels
     either side of the reduction limit;
@@ -18,6 +23,7 @@ Oracles:
     handed to tan as (E/2) t itself.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -221,6 +227,121 @@ def test_all_zero_weights_give_zero_series(levels):
         assert np.array_equal(vals, np.zeros(7))
     amp = spectral.survival_amplitude(energies, np.zeros(levels), times)
     assert np.array_equal(amp, np.zeros(7, dtype=complex))
+
+
+# --------------------------------------------------------- resolvable levels
+
+
+#: The unit roundoff: the resolvable-level rule drops at most this share of sum |M|.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@st.composite
+def resolvable_problems(draw, spread):
+    """(kind, energies, coeffs, op, times, block_entries): op dense, banded
+    (kerr's x^k or p^k) or None for the survival amplitude; coefficient
+    magnitudes 10^-s for s drawn from `spread`, with exact zeros mixed in."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["dense", "x", "p", "survival"]))
+    energies = draw(arrays(float, n, elements=st.floats(-50.0, 50.0)))
+    scale = 10.0 ** -draw(arrays(float, n, elements=spread))
+    angle = draw(arrays(float, n, elements=st.floats(0.0, 2 * np.pi)))
+    coeffs = scale * np.exp(1j * angle)
+    coeffs[draw(arrays(bool, n))] = 0.0
+    if not np.any(coeffs):
+        coeffs[0] = 1.0
+    coeffs /= np.linalg.norm(coeffs)
+    if kind == "dense":
+        # Entries of modulus 0.5 to 1, so weights follow the coefficients.
+        modulus = draw(arrays(float, (n, n), elements=st.floats(0.5, 1.0)))
+        phase = draw(arrays(float, (n, n), elements=st.floats(0.0, 2 * np.pi)))
+        raw = modulus * np.exp(1j * phase)
+        op = np.triu(raw, 1) + np.triu(raw, 1).conj().T + np.diag(modulus.diagonal())
+    elif kind == "survival":
+        op = None
+    else:
+        op = kerr._quadrature_bands(kind, draw(st.integers(1, 4)), n)
+    times = draw(arrays(float, st.integers(1, 120), elements=st.floats(0.0, 1e3)))
+    return kind, energies, coeffs, op, times, draw(st.integers(1, 64))
+
+
+def dense_weights(coeffs, op):
+    """|M| for M = diag(c*) op diag(c), op dense or banded, formed directly."""
+    if isinstance(op, dict):
+        op = sum(np.diag(band, d) for d, band in op.items())
+    return np.abs(np.conj(coeffs)[:, None] * op * coeffs)
+
+
+def kernel_run(energies, coeffs, op, times, block_entries, rule=None):
+    """(series, kept levels): expectation_series, or survival_amplitude when
+    op is None, with the level rule replaced by `rule` when it is given."""
+    kept = []
+    choose = rule or spectral._resolvable
+
+    def recording(bounds, size):
+        kept.append(choose(bounds, size))
+        return kept[-1]
+
+    with mock.patch.object(spectral, "_BLOCK_ENTRIES", block_entries), \
+            mock.patch.object(spectral, "_resolvable", recording):
+        if op is None:
+            got = spectral.survival_amplitude(energies, np.abs(coeffs) ** 2, times)
+        else:
+            got = spectral.expectation_series(energies, coeffs, op, times)
+    return got, kept[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(resolvable_problems(st.floats(0.0, 40.0)))
+def test_dropped_levels_move_the_series_below_rounding(exact_zero_levels, problem):
+    kind, energies, coeffs, op, times, block_entries = problem
+    if op is None:
+        bounds = np.abs(coeffs) ** 2
+        size = math.fsum(bounds)
+    else:
+        weights = dense_weights(coeffs, op)
+        bounds = weights.sum(axis=0) + weights.sum(axis=1)
+        size = math.fsum(weights.ravel())
+    got, kept = kernel_run(energies, coeffs, op, times, block_entries)
+    oracle, every = kernel_run(energies, coeffs, op, times, block_entries, exact_zero_levels)
+    dropped = np.setdiff1d(np.arange(coeffs.size), kept)
+    # The kernel sums the bounds in another order: allow for its rounding.
+    assert math.fsum(bounds[dropped]) <= UNIT_ROUNDOFF * size * (1 + 1e-12)
+    assert np.all(bounds[dropped] <= bounds[kept].min(initial=np.inf))
+    assert set(kept.tolist()) <= set(every.tolist())
+    # Fewer levels change the summation order: a rounding of every term.
+    allowance = 8 * (every.size + 1) * UNIT_ROUNDOFF * size
+    assert np.max(np.abs(got - oracle)) <= UNIT_ROUNDOFF * size + allowance
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolvable_problems(st.floats(0.0, 1.0)))
+def test_levels_of_comparable_weight_are_all_phased(exact_zero_levels, problem):
+    """Weights within a factor of about 10^4 of each other: the smallest
+    nonzero bound is far above 2^-53 sum |M|, so only zero bounds go."""
+    kind, energies, coeffs, op, times, block_entries = problem
+    _, kept = kernel_run(energies, coeffs, op, times, block_entries)
+    weights = np.abs(coeffs) ** 2 if op is None else dense_weights(coeffs, op)
+    bounds = weights if op is None else weights.sum(axis=0) + weights.sum(axis=1)
+    assert np.array_equal(kept, exact_zero_levels(bounds, None))
+
+
+@pytest.mark.parametrize("levels", [1, 5, 40])
+def test_diagonal_band_is_a_constant(levels):
+    """The d = 0 band adds sum_i A_0,i (C_i^2 + S_i^2) = sum_i A_0,i, summed
+    once: a diagonal-only operator gives that sum bit for bit at every
+    sample, over several kernel blocks."""
+    rng = np.random.default_rng(levels)
+    energies = rng.uniform(-30.0, 30.0, levels)
+    coeffs = rng.uniform(0.5, 1.0, levels) * np.exp(2j * np.pi * rng.random(levels))
+    coeffs /= np.linalg.norm(coeffs)
+    diagonal = rng.uniform(-2.0, 2.0, levels) + 0j
+    times = np.linspace(0.0, 7e4, 5 * (64 // levels) + 3)
+    with mock.patch.object(spectral, "_BLOCK_ENTRIES", 64):
+        vals = spectral.expectation_series(energies, coeffs, {0: diagonal}, times)
+    constant = float(np.sum((np.conj(coeffs) * diagonal * coeffs).real))
+    assert np.all(vals == constant)
+    assert abs(constant - np.vdot(coeffs, diagonal * coeffs).real) <= 1e-15
 
 
 # ---------------------------------------------------------- Hermiticity check
