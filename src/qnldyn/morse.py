@@ -230,16 +230,29 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def _quadrature(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i psi[m, i] weights[i] psi[n, i] for every pair (m, n).
+
+    np.einsum without `optimize` sums in its own loops and never calls BLAS.
+    The product (psi * weights) @ psi.T would be a GEMM of n_states^2 x 6000
+    multiply-adds, past the 2^18 that OpenBLAS runs on the calling thread
+    (spectral's docstring, Contraction); its idle workers then spin on the
+    other cores for about 0.12 s of CPU after it returns.  On the default
+    basis einsum takes about 2 ms; the threaded product takes 7.6 ms when
+    the workers must first wake, and 1.1 ms when they are already spinning.
+    """
+    return np.einsum("mi,ni->mn", psi * weights, psi)
+
+
 def orthonormality_residue(basis: MorseEigenbasis) -> float:
-    w = _trapezoid_weights(basis.grid)
-    gram = (basis.psi * w) @ basis.psi.T
+    gram = _quadrature(basis.psi, _trapezoid_weights(basis.grid))
     return float(np.max(np.abs(gram - np.eye(basis.n_states))))
 
 
 def position_matrix(basis: MorseEigenbasis) -> np.ndarray:
-    """Displacement operator in the bound basis, via trapezoid quadrature."""
-    w = _trapezoid_weights(basis.grid)
-    mat = (basis.psi * (w * basis.grid)) @ basis.psi.T
+    """Displacement operator in the bound basis, via trapezoid quadrature
+    (`_quadrature`, which calls no BLAS)."""
+    mat = _quadrature(basis.psi, _trapezoid_weights(basis.grid) * basis.grid)
     residue = float(np.max(np.abs(mat - mat.T)))
     if residue > 1e-8:
         raise GridResolutionError(

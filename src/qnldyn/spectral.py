@@ -67,9 +67,25 @@ symmetric.  Expanding, V^T K V = C^T A C + S^T A S + S^T B C - C^T B S;
 the cross terms of the imaginary part, C^T A S - S^T A C and C^T B C +
 S^T B S, vanish by the same symmetries.  K is built once per series.  For
 a dense operator a block is then one real product K V and one column-wise
-dot.  A banded operator, given as {d: np.diagonal(O, d)}, is restricted to
-the kept levels with its entries regrouped by their new offsets, and
-works per diagonal pair +-d.  With h_d = A_d + i B_d the Hermitian part's
+dot.  The product is cut into column chunks of c = 2^18 // (2L)^2 columns,
+so each is a GEMM of at most 2^18 multiply-adds.  OpenBLAS (0.3.31,
+interface/gemm.c) runs a GEMM with m n k <= 65536 x 4, its
+GEMM_MULTITHREAD_THRESHOLD, on the calling thread and threads a larger
+one, whose idle workers then spin on the other cores for about 0.12 s of
+CPU after it returns.  Measured on a 2-CPU host: 118-130 ms of CPU after
+a 22x22x5957 or a 72x72x1820 product, 0.1 ms after a 72x72x50 chunk.  The
+chunks are one stacked product over a (chunks, 2L, c) view of the block,
+and one more takes the remainder.  A form with c below 32 columns
+(2L > 90) keeps one threaded product, since threads pay off there: on
+that host, 2e5 columns at 2L = 100 took 52-66 ms threaded against 95-149
+ms in 26-column chunks.  Up to 2L = 90 a chunked bjj series of 2e4
+samples took a median 16-20 ms against 16-19 ms threaded (2L = 74-90),
+and the threaded product stalled at some sizes (2L = 72 and 86: 210-270
+ms).
+
+A banded operator, given as {d: np.diagonal(O, d)}, is restricted to the
+kept levels with its entries regrouped by their new offsets, and works
+per diagonal pair +-d.  With h_d = A_d + i B_d the Hermitian part's
 diagonal d >= 0, the symmetries give
 
     V^T K V = sum_d w_d sum_i [A_d,i (C_i C_i+d + S_i S_i+d)
@@ -105,6 +121,15 @@ from .errors import NormalizationError, NumericalContractError
 #: 1 MB per working array, so a block and its temporaries stay in a
 #: typical L2 cache.
 _BLOCK_ENTRIES = 1 << 16
+
+#: Multiply-adds m n k up to which OpenBLAS runs a GEMM on the calling
+#: thread: a dense product is cut into column chunks this small (module
+#: docstring, Contraction).
+_GEMM_SERIAL = 1 << 18
+
+#: Narrowest column chunk worth cutting; a larger form keeps one threaded
+#: product.
+_MIN_CHUNK = 32
 
 #: Largest imaginary part tolerated in the expectation of a Hermitian
 #: operator, relative to max(1, sum |M|) (module docstring).
@@ -256,9 +281,25 @@ def _banded_form(m, levels):
 
 
 def _contract(form, block):
-    """V^T K V for each column V of block, K dense or as (constant, banded terms)."""
+    """V^T K V for each column V of block, K dense or as (constant, banded terms).
+
+    A dense K V is formed in column chunks of at most _GEMM_SERIAL
+    multiply-adds, unless a chunk would be narrower than _MIN_CHUNK (module
+    docstring, Contraction).
+    """
     if isinstance(form, np.ndarray):
-        return np.einsum("ij,ij->j", block, form @ block)
+        rows, cols = block.shape
+        width = _GEMM_SERIAL // rows**2
+        chunks = cols // width if width >= _MIN_CHUNK else 0
+        split = chunks * width
+        prod = np.empty_like(block)
+
+        def stacked(a):
+            return a[:, :split].reshape(rows, chunks, width).transpose(1, 0, 2)
+
+        np.matmul(form, stacked(block), out=stacked(prod))
+        np.matmul(form, block[:, split:], out=prod[:, split:])
+        return np.einsum("ij,ij->j", block, prod)
     constant, terms = form
     halves = block.reshape(2, -1, block.shape[1])  # C and S
     levels = halves.shape[1]

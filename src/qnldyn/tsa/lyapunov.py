@@ -97,10 +97,11 @@ class LyapunovCurve:
 
 
 def _check_settings(epsilons, theiler: int | None, t_max: int | None) -> None:
-    """Reject a non-positive radius, a negative Theiler window or a horizon
-    below 1; None stands for a value the scan picks itself."""
-    if not all(eps > 0 for eps in epsilons):
-        raise ValueError("epsilon must be positive")
+    """Reject a radius that is not finite and positive, a negative Theiler
+    window or a horizon below 1; None stands for a value the scan picks
+    itself."""
+    if not all(0 < eps < np.inf for eps in epsilons):
+        raise ValueError("epsilon must be finite and positive")
     if theiler is not None and theiler < 0:
         raise ValueError("theiler must be >= 0")
     if t_max is not None and t_max < 1:

@@ -130,8 +130,8 @@ def recurrence_plot(
     sorted in place and widened once to int64, so no later step holds more
     memory than the search did.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be finite and positive")
     start, stop = window
     if not (0 <= start < stop <= len(emb)):
         raise ValueError(f"window {window} outside the embedded range")

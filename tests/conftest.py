@@ -1,7 +1,8 @@
 """Shared fixtures: the bound-state basis, expensive enough to build once,
 the full recurrence matrix that recurrence tests check against, the
-autocorrelation delay from an FFT of twice the series length, and the
-spectral kernel's level rule that phases every level of nonzero weight."""
+autocorrelation delay from an FFT of twice the series length, the
+spectral kernel's level rule that phases every level of nonzero weight, and
+its dense contraction as one product over the whole block."""
 
 import numpy as np
 import pytest
@@ -68,3 +69,15 @@ def _exact_zero_levels(bounds, size):
 def exact_zero_levels():
     """_exact_zero_levels, the oracle the resolvable-level rule is held to."""
     return _exact_zero_levels
+
+
+def _single_product(form, block):
+    """spectral._contract for a dense K as one product: the whole block's K V
+    in a single GEMM, then the column-wise dot."""
+    return np.einsum("ij,ij->j", block, form @ block)
+
+
+@pytest.fixture(scope="session")
+def single_product():
+    """_single_product, the oracle the chunked dense contraction is held to."""
+    return _single_product

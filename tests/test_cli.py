@@ -170,6 +170,18 @@ def test_rejected_analysis_options_exit_one(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rp", "lyap"])
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_non_finite_radius_exits_one_writing_nothing(tmp_path, capsys, command, epsilon):
+    """An infinite radius would make every pair a recurrence, and every usable
+    point a neighbor of each reference."""
+    path = str(tmp_path / "logistic.csv")
+    write_series(path, logistic_series(300))
+    assert main(["analyze", command, path, "--m", "3", "--epsilon", epsilon]) == 1
+    assert "error: epsilon must be finite and positive" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["logistic.csv"]
+
+
 def test_analyze_lyap_theiler_zero_is_a_zero_window(tmp_path):
     path = str(tmp_path / "logistic.csv")
     write_series(path, logistic_series(2000))
@@ -743,3 +755,57 @@ def test_lazy_exports_resolve_to_their_defining_objects(package, exports, submod
     assert {*names, *submodules} <= set(star)
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(pkg, "no_such_name")
+
+
+# ------------------------------------------------------------ worker threads
+
+#: A 2e4-sample morse <x> series.
+SPIN_MORSE_CFG = ("system = morse\nobservable = x\ndt = 0.01\nn_samples = 20000\n"
+                  "morse.alpha = 0.4\nmorse.ell = 2\n")
+
+#: The bench's bjj <Lx> problem up to its series: bjj's eigensolve and its
+#: 41-level complex rotation are threaded LAPACK and BLAS calls that wake the
+#: workers themselves, so the setup sleeps past their spin.
+SPIN_BJJ_SETUP = """\
+ops = bjj.build_bjj(bjj.BJJParams.from_u(40, 50))
+energies, vectors = ops.eigensystem()
+op = vectors.conj().T @ ops.lx @ vectors
+modes = vectors.conj().T @ bjj.make_initial('even', 40).amplitudes
+time.sleep(0.5)"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="a BLAS worker needs a second CPU to spin on")
+def test_no_blas_worker_spins_after_a_series_or_the_morse_basis(tmp_path, monkeypatch):
+    """OpenBLAS threads a GEMM past 2^18 multiply-adds, and after such a call
+    returns its idle workers spin for about 0.12 s of CPU.  In a fresh
+    interpreter, neither `simulate` of a morse series, nor a 2e4-sample bjj
+    series once its eigenbasis is set up, nor the Morse eigenbasis and
+    position matrix leave that spin behind: the process uses under 0.02 s of
+    CPU across a 0.3 s sleep after each.  bjj's `simulate` is not timed whole,
+    because its own eigensolve and rotation leave the spin; a series long
+    enough to outlast it would race the host's speed."""
+    monkeypatch.delenv("QNLDYN_CACHE_DIR", raising=False)
+    cfg = write_cfg(tmp_path, SPIN_MORSE_CFG, "morse.cfg")
+    runs = {
+        "morse": f"main(['simulate', {cfg!r}, '-o', {str(tmp_path / 'morse')!r}])",
+        "bjj": "spectral.sample(energies, modes, op, 0.02 * np.arange(20000))",
+        "basis": "morse.position_matrix(morse.build_eigenbasis(morse.MORSE_PRESETS['default']))",
+    }
+    code = "\n".join([
+        "import time",
+        "import numpy as np",
+        "from qnldyn import bjj, morse, spectral",
+        "from qnldyn.cli import main",
+        SPIN_BJJ_SETUP,
+        "tails = {}",
+        *(f"{call}\nstart = time.process_time()\ntime.sleep(0.3)\n"
+          f"tails[{name!r}] = time.process_time() - start" for name, call in runs.items()),
+        "print(tails)",
+    ])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, check=True)
+    tails = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert all(seconds < 0.02 for seconds in tails.values()), tails

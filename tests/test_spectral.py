@@ -15,6 +15,9 @@ Oracles:
     at most 2^-53 sum |M| of bound, and the series moves by no more than
     that plus rounding;
   - a diagonal-only banded operator has the constant expectation sum A_0;
+  - the dense contraction as one product K V over the whole block
+    (conftest's single_product): the column chunks move the series by no
+    more than the rounding of a 2L-term dot;
   - every phase the kernel generates is np.exp(-1j * E t) to 1e-15, for
     |E t| up to 1e12, at E t = 0, at odd multiples of pi, and on levels
     either side of the reduction limit;
@@ -342,6 +345,45 @@ def test_diagonal_band_is_a_constant(levels):
     constant = float(np.sum((np.conj(coeffs) * diagonal * coeffs).real))
     assert np.all(vals == constant)
     assert abs(constant - np.vdot(coeffs, diagonal * coeffs).real) <= 1e-15
+
+
+# ------------------------------------------------------- chunked contraction
+
+
+@st.composite
+def chunked_problems(draw):
+    """(energies, coeffs, op, times, width): a dense Hermitian op on 1 to 60
+    levels, so 2L runs past the chunking cut-over, with every level kept
+    (coefficient and entry moduli 0.5 to 1), and a block width of 1, c - 1,
+    c, c + 1, or several chunks of c = _GEMM_SERIAL // (2L)^2 columns plus a
+    remainder; the times fill one or two blocks and part of another."""
+    n = draw(st.integers(1, 60))
+    chunk = spectral._GEMM_SERIAL // (2 * n) ** 2
+    several = st.builds(lambda k, r: k * chunk + r, st.integers(2, 4), st.integers(1, chunk - 1))
+    width = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1]) | several)
+    energies = draw(arrays(float, n, elements=st.floats(-50.0, 50.0)))
+    modulus = draw(arrays(float, (n, n), elements=st.floats(0.5, 1.0)))
+    phase = draw(arrays(float, (n, n), elements=st.floats(0.0, 2 * np.pi)))
+    raw = modulus * np.exp(1j * phase)
+    op = np.triu(raw, 1) + np.triu(raw, 1).conj().T + np.diag(modulus.diagonal())
+    coeffs = np.diag(modulus) * np.exp(1j * np.diag(phase))
+    coeffs /= np.linalg.norm(coeffs)
+    samples = draw(st.integers(1, 2)) * width + draw(st.integers(1, width))
+    times = draw(st.floats(0.0, 1e3)) + draw(st.floats(1e-3, 1.0)) * np.arange(samples)
+    return energies, coeffs, op, times, width
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_problems())
+def test_chunked_contraction_matches_one_product(single_product, problem):
+    energies, coeffs, op, times, width = problem
+    with mock.patch.object(spectral, "_BLOCK_ENTRIES", coeffs.size * width):
+        got = spectral.expectation_series(energies, coeffs, op, times)
+        with mock.patch.object(spectral, "_contract", single_product):
+            oracle = spectral.expectation_series(energies, coeffs, op, times)
+    size = math.fsum(dense_weights(coeffs, op).ravel())
+    # Both sides sum each value of 2L^2 terms in an order of their own.
+    assert np.max(np.abs(got - oracle)) <= 4 * 2 * coeffs.size * UNIT_ROUNDOFF * size
 
 
 # ---------------------------------------------------------- Hermiticity check

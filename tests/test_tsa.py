@@ -248,6 +248,13 @@ def test_recurrence_monotone_in_epsilon():
     assert pairs_small < pairs_large  # strict: more pairs at the larger radius
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, np.inf, np.nan])
+def test_recurrence_radius_must_be_finite_and_positive(epsilon):
+    """An infinite radius would store all n(n - 1)/2 pairs."""
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        recurrence_plot(embedded_sine(), epsilon, (0, 100))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(8, 400),
@@ -839,15 +846,17 @@ def test_scan_rejects_t_max_without_two_usable_points():
 
 @pytest.mark.parametrize("setting, message", [
     ({"m_values": (3, 0)}, "m must be >= 1"),
-    ({"epsilons": (0.01, 0.02, 0.04, 0)}, "epsilon must be positive"),
-    ({"epsilons": (0.01, -0.01)}, "epsilon must be positive"),
+    ({"epsilons": (0.01, 0.02, 0.04, 0)}, "epsilon must be finite and positive"),
+    ({"epsilons": (0.01, -0.01)}, "epsilon must be finite and positive"),
+    ({"epsilons": (0.01, np.inf)}, "epsilon must be finite and positive"),
+    ({"epsilons": (np.nan,)}, "epsilon must be finite and positive"),
     ({"theiler": -1}, "theiler must be >= 0"),
     ({"t_max": 2}, "t_max must be >= 3"),
     ({"t_max": -5}, "t_max must be >= 3"),
     ({"m_values": ()}, "must not be empty"),
     ({"epsilons": ()}, "must not be empty"),
-], ids=["m_0", "epsilon_0", "epsilon_negative", "theiler_negative", "t_max_2", "t_max_negative",
-        "m_values_empty", "epsilons_empty"])
+], ids=["m_0", "epsilon_0", "epsilon_negative", "epsilon_inf", "epsilon_nan", "theiler_negative",
+        "t_max_2", "t_max_negative", "m_values_empty", "epsilons_empty"])
 def test_scan_rejects_a_bad_setting_before_any_work(monkeypatch, setting, message):
     def no_work(*args, **kwargs):
         raise AssertionError("the scan started work before rejecting a setting")
