@@ -67,15 +67,23 @@ symmetric.  Expanding, V^T K V = C^T A C + S^T A S + S^T B C - C^T B S;
 the cross terms of the imaginary part, C^T A S - S^T A C and C^T B C +
 S^T B S, vanish by the same symmetries.  K is built once per series.  For
 a dense operator a block is then one real product K V and one column-wise
-dot.  The product is cut into column chunks of c = 2^18 // (2L)^2 columns,
-so each is a GEMM of at most 2^18 multiply-adds.  OpenBLAS (0.3.31,
+dot.  When B is exactly zero (a real M: a real operator and real
+coefficients, as for bjj's L_x on its named states) the form is A alone,
+applied to both halves: the product is [A C; A S], L^2 multiply-adds per
+half and 2 L^2 per sample instead of 4 L^2.  This is the dense twin of the
+banded path's skipped all-zero parts; a B that is nonzero anywhere, even at
+rounding level, keeps K: morse's coefficients carry imaginary parts of up
+to 6e-16, so its x keeps K.  The product is cut into column chunks of
+c = 2^18 // (2L)^2 columns, so each is a GEMM of at most 2^18
+multiply-adds (2^16 for A).  OpenBLAS (0.3.31,
 interface/gemm.c) runs a GEMM with m n k <= 65536 x 4, its
 GEMM_MULTITHREAD_THRESHOLD, on the calling thread and threads a larger
 one, whose idle workers then spin on the other cores for about 0.12 s of
 CPU after it returns.  Measured on a 2-CPU host: 118-130 ms of CPU after
 a 22x22x5957 or a 72x72x1820 product, 0.1 ms after a 72x72x50 chunk.  The
-chunks are one stacked product over a (chunks, 2L, c) view of the block,
-and one more takes the remainder.  A form with c below 32 columns
+chunks are one stacked product over a (row groups, chunks, rows, c) view
+of the block, one row group of 2L rows for K and two of L (C and S) for A,
+and one more product takes the remainder.  A form with c below 32 columns
 (2L > 90) keeps one threaded product, since threads pay off there: on
 that host, 2e5 columns at 2L = 100 took 52-66 ms threaded against 95-149
 ms in 26-column chunks.  Up to 2L = 90 a chunked bjj series of 2e4
@@ -221,11 +229,13 @@ def _weighted_bands(bands, coeffs):
 
 
 def _real_form(m):
-    """(K, anti-Hermitian bound) for a dense M: K = [[A, -B], [B, A]] from
-    the Hermitian part A + iB of M."""
+    """(form, anti-Hermitian bound) for a dense M with Hermitian part A + iB:
+    A alone when B is exactly zero, else K = [[A, -B], [B, A]]."""
     adjoint = m.conj().T
     bound = 0.5 * float(abs(m - adjoint).sum())
     herm = 0.5 * (m + adjoint)
+    if not np.any(herm.imag):
+        return herm.real, bound
     return np.block([[herm.real, -herm.imag], [herm.imag, herm.real]]), bound
 
 
@@ -283,22 +293,26 @@ def _banded_form(m, levels):
 def _contract(form, block):
     """V^T K V for each column V of block, K dense or as (constant, banded terms).
 
-    A dense K V is formed in column chunks of at most _GEMM_SERIAL
-    multiply-adds, unless a chunk would be narrower than _MIN_CHUNK (module
-    docstring, Contraction).
+    A dense form is K, or A alone, applied to the halves C and S of V.  The
+    product is formed in the column chunks of K, each of at most
+    _GEMM_SERIAL multiply-adds, unless a chunk would be narrower than
+    _MIN_CHUNK (module docstring, Contraction).
     """
     if isinstance(form, np.ndarray):
         rows, cols = block.shape
+        size = form.shape[0]
+        groups = rows // size
         width = _GEMM_SERIAL // rows**2
         chunks = cols // width if width >= _MIN_CHUNK else 0
         split = chunks * width
         prod = np.empty_like(block)
 
-        def stacked(a):
-            return a[:, :split].reshape(rows, chunks, width).transpose(1, 0, 2)
+        def stacked(a):  # (row groups, chunks, size, width)
+            return a[:, :split].reshape(groups, size, chunks, width).transpose(0, 2, 1, 3)
 
         np.matmul(form, stacked(block), out=stacked(prod))
-        np.matmul(form, block[:, split:], out=prod[:, split:])
+        rest = (groups, size, cols - split)
+        np.matmul(form, block[:, split:].reshape(rest), out=prod[:, split:].reshape(rest))
         return np.einsum("ij,ij->j", block, prod)
     constant, terms = form
     halves = block.reshape(2, -1, block.shape[1])  # C and S

@@ -1,12 +1,14 @@
 """Shared fixtures: the bound-state basis, expensive enough to build once,
 the full recurrence matrix that recurrence tests check against, the
 autocorrelation delay from an FFT of twice the series length, the
-spectral kernel's level rule that phases every level of nonzero weight, and
-its dense contraction as one product over the whole block."""
+spectral kernel's level rule that phases every level of nonzero weight,
+its dense contraction as one product over the whole block, and the bjj
+series through one complex eigh of the whole Hamiltonian."""
 
 import numpy as np
 import pytest
 
+from qnldyn import spectral
 from qnldyn.morse import MORSE_PRESETS, build_eigenbasis
 from qnldyn.tsa.embedding import MAX_DELAY_LAG
 
@@ -72,12 +74,31 @@ def exact_zero_levels():
 
 
 def _single_product(form, block):
-    """spectral._contract for a dense K as one product: the whole block's K V
-    in a single GEMM, then the column-wise dot."""
-    return np.einsum("ij,ij->j", block, form @ block)
+    """spectral._contract for a dense form as one product per row group: K V
+    over the whole block, or A applied to its halves C and S, then the
+    column-wise dot."""
+    halves = block.reshape(-1, form.shape[0], block.shape[1])
+    return np.einsum("ij,ij->j", block, (form @ halves).reshape(block.shape))
 
 
 @pytest.fixture(scope="session")
 def single_product():
     """_single_product, the oracle the chunked dense contraction is held to."""
     return _single_product
+
+
+def _full_eigh_series(state, ops, plan, observable):
+    """bjj.bloch_series values through one complex eigh of the whole H and a
+    complex rotation, the path before the parity split: its vectors mix the
+    sectors in near-degenerate doublets, so every level of a named state is
+    phased."""
+    energies, vectors = np.linalg.eigh(ops.hamiltonian.astype(complex))
+    op = vectors.conj().T @ ops.operator(observable).astype(complex) @ vectors
+    modes = vectors.conj().T @ state.amplitudes
+    return spectral.sample(energies, modes, op, plan.times()) * (2.0 / ops.params.n_atoms)
+
+
+@pytest.fixture(scope="session")
+def full_eigh_series():
+    """_full_eigh_series, the oracle the parity-sector series is held to."""
+    return _full_eigh_series

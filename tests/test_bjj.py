@@ -7,8 +7,15 @@ Independent oracles:
     is m = -l) and <L_x> = (N/2) sin(theta) cos(phi);
   - direct integration of i d(psi)/dt = H psi with an eighth-order
     adaptive Runge-Kutta at tight tolerance, compared amplitude by
-    amplitude against the eigendecomposition propagator.
+    amplitude against the eigendecomposition propagator;
+  - the mirror i <-> N - i commutes with H, so every eigenvector of the
+    parity-sector solve has parity +-1 exactly, and the series match one
+    complex eigh of the whole H (conftest's full_eigh_series);
+  - L_y and L_z anticommute with the mirror, so their expectations in the
+    mirror-symmetric `even` and `pi` states vanish.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -59,12 +66,74 @@ def test_eigensystem_reconstructs_hamiltonian():
 
 @pytest.mark.parametrize("u", [50.0, 90.0])
 def test_eigensystem_residual_and_orthogonality_at_forty_atoms(u):
-    """The figure runs' 41 levels: max|HV - VE| reads 2.8e-13 (u = 50) and
-    4.6e-13 (u = 90), max|V^H V - I| 1.8e-15, with numpy 2.4."""
+    """The figure runs' 41 levels: max|HV - VE| reads 1.7e-13 (u = 50) and
+    3.4e-13 (u = 90), max|V^T V - I| 2.9e-15, with numpy 2.4."""
     ops = build_bjj(BJJParams.from_u(40, u))
     energies, vectors = ops.eigensystem()
     assert np.max(np.abs(ops.hamiltonian @ vectors - vectors * energies)) <= 1e-11
     assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(41))) <= 1e-13
+
+
+#: The unit roundoff, the scale of every eigensystem residual below.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_atoms=st.integers(2, 60), u=st.floats(1.5, 200.0), J=st.floats(0.5, 2.0))
+def test_parity_eigensystem(n_atoms, u, J):
+    """Ascending energies; max column sums of |HV - VE| and |V^T V - I| within
+    8 (N + 1) unit roundoffs, the residual relative to ||H||_1 (the largest
+    readings over 3000 draws were 1.2 and 2.1 times (N + 1)); and every
+    eigenvector v of parity +-1 exactly: v reversed is v or -v."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # u past N^2 at small N
+        ops = build_bjj(BJJParams(n_atoms, J=J, U=u * J / n_atoms))
+    energies, vectors = ops.eigensystem()
+    h, dim = ops.hamiltonian, n_atoms + 1
+    assert h.dtype == vectors.dtype == np.float64
+    assert np.all(np.diff(energies) >= 0.0)
+    allowance = 8 * dim * UNIT_ROUNDOFF
+    scale = np.abs(h).sum(axis=0).max()
+    assert np.abs(h @ vectors - vectors * energies).sum(axis=0).max() <= allowance * scale
+    assert np.abs(vectors.T @ vectors - np.eye(dim)).sum(axis=0).max() <= allowance
+    mirrored = vectors[::-1]
+    assert np.all((mirrored == vectors).all(axis=0) | (mirrored == -vectors).all(axis=0))
+
+
+#: The bench's and fig11's problem.
+BENCH_OPS = build_bjj(BJJParams.from_u(40, 50.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.0, np.pi), phi=st.floats(-np.pi, np.pi))
+def test_series_match_one_complex_eigh(full_eigh_series, theta, phi):
+    """L_x, L_y and L_z over 2000 samples to t = 4997.5 at N = 40, u = 50, on
+    `even`, `pi` and a drawn coherent state (complex amplitudes in both
+    sectors), within 1e-9 of the series through one complex eigh.  Each
+    path's energies carry their own rounding, so the two drift apart
+    linearly in t: over a 41 x 21 grid of (theta, phi) the largest gap was
+    6.3e-10.  The oracle's energies are the less accurate, 12 ulp
+    of max|E| off a 40-digit reference, the sector solve's 4.  Both paths'
+    <L_x> are within 2.1e-10 of that reference at 40 times on 14 states."""
+    plan = SamplingPlan(0.0, 2.5, 2000)
+    for state in (make_initial("even", 40), make_initial("pi", 40), su2_coherent(theta, phi, 40)):
+        for name in ("lx", "ly", "lz"):
+            got = bloch_series(state, BENCH_OPS, plan, observable=name).values
+            want = full_eigh_series(state, BENCH_OPS, plan, name)
+            assert np.max(np.abs(got - want)) <= 1e-9, name
+
+
+@pytest.mark.parametrize("kind", ["even", "pi"])
+def test_mirror_odd_observables_vanish(kind):
+    """P L_y P = -L_y and P L_z P = -L_z, and the `even` and `pi` states are
+    mirror-symmetric: <L_y> and <L_z> are 0 at every t.  The sector solve
+    keeps them at rounding (3.6e-17 at most here); one complex eigh of H read
+    up to 3.1e-12, from parity mixed across near-degenerate doublets."""
+    ops = build_bjj(BJJParams.from_u(40, 90.0))
+    plan = SamplingPlan(0.0, 0.02, 20000)
+    for name in ("ly", "lz"):
+        values = bloch_series(make_initial(kind, 40), ops, plan, observable=name).values
+        assert np.max(np.abs(values)) <= 1e-15, name
 
 
 def test_coherent_state_expectations():
@@ -93,6 +162,8 @@ def test_pole_states_are_basis_vectors():
     expected = np.zeros(n + 1)
     expected[-1] = 1.0
     assert_allclose(north.amplitudes, expected, atol=0.0)
+    # theta / 2 underflows to 0: the south pole, not NaN amplitudes.
+    assert np.array_equal(su2_coherent(5e-324, 0.0, n).amplitudes, south.amplitudes)
 
 
 def test_named_states():

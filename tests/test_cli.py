@@ -763,15 +763,9 @@ def test_lazy_exports_resolve_to_their_defining_objects(package, exports, submod
 SPIN_MORSE_CFG = ("system = morse\nobservable = x\ndt = 0.01\nn_samples = 20000\n"
                   "morse.alpha = 0.4\nmorse.ell = 2\n")
 
-#: The bench's bjj <Lx> problem up to its series: bjj's eigensolve and its
-#: 41-level complex rotation are threaded LAPACK and BLAS calls that wake the
-#: workers themselves, so the setup sleeps past their spin.
-SPIN_BJJ_SETUP = """\
-ops = bjj.build_bjj(bjj.BJJParams.from_u(40, 50))
-energies, vectors = ops.eigensystem()
-op = vectors.conj().T @ ops.lx @ vectors
-modes = vectors.conj().T @ bjj.make_initial('even', 40).amplitudes
-time.sleep(0.5)"""
+#: The bench's bjj <Lx> problem, cut to 2e4 samples.
+SPIN_BJJ_CFG = ("system = bjj\nobservable = lx\ndt = 0.02\nn_samples = 20000\n"
+                "bjj.n_atoms = 40\nbjj.u = 50\nbjj.state = even\n")
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
@@ -779,25 +773,25 @@ time.sleep(0.5)"""
 def test_no_blas_worker_spins_after_a_series_or_the_morse_basis(tmp_path, monkeypatch):
     """OpenBLAS threads a GEMM past 2^18 multiply-adds, and after such a call
     returns its idle workers spin for about 0.12 s of CPU.  In a fresh
-    interpreter, neither `simulate` of a morse series, nor a 2e4-sample bjj
-    series once its eigenbasis is set up, nor the Morse eigenbasis and
-    position matrix leave that spin behind: the process uses under 0.02 s of
-    CPU across a 0.3 s sleep after each.  bjj's `simulate` is not timed whole,
-    because its own eigensolve and rotation leave the spin; a series long
-    enough to outlast it would race the host's speed."""
+    interpreter, neither `simulate` of a morse or a bjj series (bjj's
+    parity-sector eigensolve and real rotation included), nor the Morse
+    eigenbasis and position matrix leave that spin behind: the process uses
+    under 0.02 s of CPU across a 0.3 s sleep after each.  The workers also
+    spin for about 0.1 s once the library loads (50-70 ms of CPU), whatever
+    is called, so the first timed call waits 0.5 s past the imports."""
     monkeypatch.delenv("QNLDYN_CACHE_DIR", raising=False)
     cfg = write_cfg(tmp_path, SPIN_MORSE_CFG, "morse.cfg")
+    bjj_cfg = write_cfg(tmp_path, SPIN_BJJ_CFG, "bjj.cfg")
     runs = {
         "morse": f"main(['simulate', {cfg!r}, '-o', {str(tmp_path / 'morse')!r}])",
-        "bjj": "spectral.sample(energies, modes, op, 0.02 * np.arange(20000))",
+        "bjj": f"main(['simulate', {bjj_cfg!r}, '-o', {str(tmp_path / 'bjj')!r}])",
         "basis": "morse.position_matrix(morse.build_eigenbasis(morse.MORSE_PRESETS['default']))",
     }
     code = "\n".join([
         "import time",
-        "import numpy as np",
-        "from qnldyn import bjj, morse, spectral",
+        "from qnldyn import morse",
         "from qnldyn.cli import main",
-        SPIN_BJJ_SETUP,
+        "time.sleep(0.5)",
         "tails = {}",
         *(f"{call}\nstart = time.process_time()\ntime.sleep(0.3)\n"
           f"tails[{name!r}] = time.process_time() - start" for name, call in runs.items()),

@@ -15,9 +15,11 @@ Oracles:
     at most 2^-53 sum |M| of bound, and the series moves by no more than
     that plus rounding;
   - a diagonal-only banded operator has the constant expectation sum A_0;
-  - the dense contraction as one product K V over the whole block
-    (conftest's single_product): the column chunks move the series by no
-    more than the rounding of a 2L-term dot;
+  - the dense contraction as one product per row group over the whole
+    block (conftest's single_product): the column chunks move the series by
+    no more than the rounding of a 2L-term dot;
+  - the full form K = [[A, -B], [B, A]]: for a real M the form A alone,
+    applied to both halves, gives the same series to that rounding;
   - every phase the kernel generates is np.exp(-1j * E t) to 1e-15, for
     |E t| up to 1e12, at E t = 0, at odd multiples of pi, and on levels
     either side of the reduction limit;
@@ -351,22 +353,28 @@ def test_diagonal_band_is_a_constant(levels):
 
 
 @st.composite
-def chunked_problems(draw):
+def chunked_problems(draw, real=False):
     """(energies, coeffs, op, times, width): a dense Hermitian op on 1 to 60
     levels, so 2L runs past the chunking cut-over, with every level kept
     (coefficient and entry moduli 0.5 to 1), and a block width of 1, c - 1,
     c, c + 1, or several chunks of c = _GEMM_SERIAL // (2L)^2 columns plus a
-    remainder; the times fill one or two blocks and part of another."""
+    remainder; the times fill one or two blocks and part of another.  With
+    `real`, op and coeffs are real (phases 0 or pi), and so is M."""
     n = draw(st.integers(1, 60))
     chunk = spectral._GEMM_SERIAL // (2 * n) ** 2
     several = st.builds(lambda k, r: k * chunk + r, st.integers(2, 4), st.integers(1, chunk - 1))
     width = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1]) | several)
     energies = draw(arrays(float, n, elements=st.floats(-50.0, 50.0)))
     modulus = draw(arrays(float, (n, n), elements=st.floats(0.5, 1.0)))
-    phase = draw(arrays(float, (n, n), elements=st.floats(0.0, 2 * np.pi)))
-    raw = modulus * np.exp(1j * phase)
-    op = np.triu(raw, 1) + np.triu(raw, 1).conj().T + np.diag(modulus.diagonal())
-    coeffs = np.diag(modulus) * np.exp(1j * np.diag(phase))
+    if real:
+        raw = modulus * np.where(draw(arrays(bool, (n, n))), -1.0, 1.0)
+        op = np.triu(raw, 1) + np.triu(raw, 1).T + np.diag(modulus.diagonal())
+        coeffs = np.diag(raw).copy()
+    else:
+        phase = draw(arrays(float, (n, n), elements=st.floats(0.0, 2 * np.pi)))
+        raw = modulus * np.exp(1j * phase)
+        op = np.triu(raw, 1) + np.triu(raw, 1).conj().T + np.diag(modulus.diagonal())
+        coeffs = np.diag(modulus) * np.exp(1j * np.diag(phase))
     coeffs /= np.linalg.norm(coeffs)
     samples = draw(st.integers(1, 2)) * width + draw(st.integers(1, width))
     times = draw(st.floats(0.0, 1e3)) + draw(st.floats(1e-3, 1.0)) * np.arange(samples)
@@ -384,6 +392,64 @@ def test_chunked_contraction_matches_one_product(single_product, problem):
     size = math.fsum(dense_weights(coeffs, op).ravel())
     # Both sides sum each value of 2L^2 terms in an order of their own.
     assert np.max(np.abs(got - oracle)) <= 4 * 2 * coeffs.size * UNIT_ROUNDOFF * size
+
+
+# ------------------------------------------------------------ real dense form
+
+
+def full_form(m):
+    """spectral._real_form without its shortcut: K = [[A, -B], [B, A]] even
+    when B is zero."""
+    adjoint = m.conj().T
+    herm = 0.5 * (m + adjoint)
+    form = np.block([[herm.real, -herm.imag], [herm.imag, herm.real]])
+    return form, 0.5 * float(abs(m - adjoint).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_problems(real=True), st.data())
+def test_real_form_matches_the_full_form(single_product, problem, data):
+    """A real M contracts with A alone, on C and S, in the chunks of K: the
+    series matches K's within 4 2L 2^-53 sum |M|, chunked or as one product.
+    A nonzero imaginary entry of the Hermitian part, however small, keeps K."""
+    energies, coeffs, op, times, width = problem
+    n = coeffs.size
+    with mock.patch.object(spectral, "_BLOCK_ENTRIES", n * width):
+        got = spectral.expectation_series(energies, coeffs, op, times)
+        with mock.patch.object(spectral, "_contract", single_product):
+            one = spectral.expectation_series(energies, coeffs, op, times)
+        with mock.patch.object(spectral, "_real_form", full_form):
+            oracle = spectral.expectation_series(energies, coeffs, op, times)
+    size = math.fsum(dense_weights(coeffs, op).ravel())
+    allowance = 4 * 2 * n * UNIT_ROUNDOFF * size
+    assert np.max(np.abs(got - oracle)) <= allowance
+    assert np.max(np.abs(one - oracle)) <= allowance
+    m = (coeffs[:, None] * op * coeffs).astype(complex)
+    assert spectral._real_form(m)[0].shape == (n, n)
+    if n > 1:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        tiny = data.draw(st.sampled_from([5e-324, 1e-300, 1e-17, 0.5]))
+        m[i, j] += 1j * tiny
+        m[j, i] -= 1j * tiny
+        assert spectral._real_form(m)[0].shape == (2 * n, 2 * n)
+
+
+def test_bench_bjj_problem_phases_one_parity_sector():
+    """The bench's bjj <L_x> problem (N = 40, u = 50, `even`) has only
+    rounding-level coefficients off its own parity sector, and those levels
+    go: 21 of 41 are phased (36 under one complex eigh of H, whose vectors
+    mix parity)."""
+    kept = []
+
+    def recording(bounds, size):
+        kept.append(resolvable(bounds, size))
+        return kept[-1]
+
+    resolvable = spectral._resolvable
+    ops = build_bjj(BJJParams.from_u(40, 50.0))
+    with mock.patch.object(spectral, "_resolvable", recording):
+        bloch_series(make_initial("even", 40), ops, SamplingPlan(0.0, 0.02, 100), "lx")
+    assert kept[0].size == 21
 
 
 # ---------------------------------------------------------- Hermiticity check
