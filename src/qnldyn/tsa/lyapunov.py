@@ -16,26 +16,40 @@ The scan builds one k-d tree per embedding dimension m and queries it at
 every radius; only one tree is alive at a time.  The trees take
 embedding.TREE_OPTIONS (midpoint splits, 32-point leaves), which build and
 query faster and return the same sorted neighbor lists.  References are
-processed in blocks of _QUERY_BLOCK, one pass per block:
+processed in blocks of _QUERY_BLOCK, in two stages:
 
-  - the block's neighbor lists are flattened into one index array and
-    dropped, so only one block's neighbors are held;
-  - the Theiler cut and the even thinning to MAX_NEIGHBORS are array
-    operations over the whole block; the thinning picks the positions
-    np.linspace(0, n - 1, k).astype(np.int64) would;
-  - each reference's gaps are one fancy index into a sliding window over
-    the scalar track (row n holds s_n, ..., s_{n+t_max}), summed into that
-    reference's row;
-  - the rows are divided by their sizes, logged, and added to the running
-    sum in reference order.
+  - the calling thread embeds, builds each m's tree and, per block, runs
+    the ball query, flattens the block's neighbor lists into one index
+    array and drops them, and makes the Theiler cut and the even thinning
+    to MAX_NEIGHBORS as array operations over the whole block; the
+    thinning picks the positions np.linspace(0, n - 1, k).astype(np.int64)
+    would;
+  - one gather thread runs _add_block on each block: every reference's
+    gaps are one fancy index into a sliding window over the scalar track
+    (row n holds s_n, ..., s_{n+t_max}), summed into that reference's row;
+    the rows are divided by their sizes, logged, and added to the curve's
+    running sum in reference order.
 
-So the gathers are still made one reference at a time, and every curve is
-bit for bit what a per-reference loop with gaps.mean(axis=0) and
-sums += log(mean) gives.
+The stages run across radii and dimensions, so the next block's query, and
+the next m's embedding and tree, overlap the previous block's gather.  Both
+are memory-bound (tree pointer chasing, fancy-index copies), so they gain
+from a second core where compute-bound work would not.  The query runs
+with workers=1: scipy's own query threads would put three busy threads on
+two cores.  At most one block waits behind the one being gathered.  The
+gather thread holds no tree and is joined before the call returns, also on
+an error.
+
+The one gather thread takes the blocks in the order they were handed over,
+so every curve's sums are formed block after block, and within a block
+reference after reference, as before; and the gathers are still made one
+reference at a time.  So every curve is bit for bit what a per-reference
+loop with gaps.mean(axis=0) and sums += log(mean) gives.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -123,7 +137,7 @@ def _block_neighbors(tree, points, block, epsilon, theiler):
     the Theiler window, and the neighbors of refs[r] in nb[bounds[r]:
     bounds[r + 1]], ascending and thinned evenly to MAX_NEIGHBORS.
     """
-    lists = tree.query_ball_point(points[block], epsilon, workers=-1, return_sorted=True)
+    lists = tree.query_ball_point(points[block], epsilon, workers=1, return_sorted=True)
     sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
     nb = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum()))
     del lists
@@ -159,9 +173,9 @@ def _block_neighbors(tree, points, block, epsilon, theiler):
     return block[used], bounds, nb
 
 
-def _add_block(sums, counts, win, refs, bounds, nb) -> int:
+def _add_block(sums, counts, win, refs, bounds, nb) -> None:
     """Add one block's log mean gaps to sums (and their count to counts) in
-    place; return the number of references added.
+    place.
 
     rows[0] carries the running sum and rows[1 + r] reference r's summed
     gaps, then their mean, then its log (0 where the mean is 0, which adds
@@ -183,16 +197,68 @@ def _add_block(sums, counts, win, refs, bounds, nb) -> int:
     np.log(means, out=means)
     rows[0] = sums
     np.add.reduce(rows, axis=0, out=sums)
-    return refs.size
 
 
-def lyapunov_curve(
-    emb: EmbeddedSeries,
-    epsilon: float,
-    theiler: int,
-    t_max: int,
-    tree: cKDTree | None = None,
-) -> LyapunovCurve:
+def _divergence_curves(grid, epsilons, t_max: int) -> list[LyapunovCurve]:
+    """Divergence curves of every (embedding, radius) pair, in grid order.
+
+    grid yields (emb, theiler) pairs and is advanced on the calling thread,
+    so a lazy grid builds the next embedding while the gather thread works.
+    Each block goes to the gather thread once the block before the last has
+    been gathered.  A radius at which no reference kept a neighbor gives a
+    curve with n_references 0 and no offsets.
+    """
+    finished = []  # per curve: sums, counts and LyapunovCurve's other fields
+    pending = deque()  # blocks handed to the gather thread and not yet collected
+    gather = ThreadPoolExecutor(max_workers=1)
+    try:
+        for emb, theiler in grid:
+            points = emb.points
+            usable = _usable_points(emb, t_max)
+            tree = cKDTree(points[:usable], **TREE_OPTIONS)
+            # Every usable point when there are no more than N_REFERENCES of them.
+            refs = np.unique(np.linspace(0, usable - 1, N_REFERENCES).astype(np.int64))
+            win = sliding_window_view(np.ascontiguousarray(emb.scalar_track), t_max + 1)
+            for epsilon in epsilons:
+                sums = np.zeros(t_max + 1)
+                counts = np.zeros(t_max + 1, dtype=np.int64)
+                n_used = 0
+                for lo in range(0, refs.size, _QUERY_BLOCK):
+                    if len(pending) == 2:  # one block queued behind the one in gather
+                        pending.popleft().result()
+                    block = _block_neighbors(tree, points, refs[lo : lo + _QUERY_BLOCK],
+                                             epsilon, theiler)
+                    n_used += block[0].size
+                    pending.append(gather.submit(_add_block, sums, counts, win, *block))
+                    del block  # the gather thread holds the only reference
+                finished.append((sums, counts, dict(epsilon=epsilon, m=emb.m, delay=emb.delay,
+                                                    theiler=theiler, dt=emb.dt,
+                                                    n_references=n_used)))
+            del tree  # freed before the next m builds, so one tree is alive at a time
+        for future in pending:
+            future.result()  # raises what the gather raised
+    finally:
+        gather.shutdown(cancel_futures=True)
+    offsets = np.arange(t_max + 1)
+    return [LyapunovCurve(t_offsets=offsets[counts > 0],
+                          s_values=sums[counts > 0] / counts[counts > 0], **fields)
+            for sums, counts, fields in finished]
+
+
+def _no_neighborhood(epsilon: float) -> str:
+    return f"no neighborhood within epsilon = {epsilon:g}; increase epsilon"
+
+
+def _failure(curve: LyapunovCurve) -> str:
+    """Why a curve with fewer than MIN_FIT_POINTS defined offsets has no slope."""
+    if curve.n_references == 0:
+        return _no_neighborhood(curve.epsilon)
+    return (f"m = {curve.m}, epsilon = {curve.epsilon:g}: zero divergence at all but "
+            f"{curve.t_offsets.size} offsets")
+
+
+def lyapunov_curve(emb: EmbeddedSeries, epsilon: float, theiler: int,
+                   t_max: int) -> LyapunovCurve:
     """Average log divergence of epsilon-neighborhoods over t_max steps.
 
     N_REFERENCES reference points are taken evenly across the usable range
@@ -200,50 +266,15 @@ def lyapunov_curve(
     Oversized neighborhoods are thinned evenly to MAX_NEIGHBORS members,
     which keeps densely recurrent signals cheap without biasing the
     average.  Offsets where no reference kept a positive mean gap are
-    dropped.  n_references counts the references
-    that kept a neighbor outside the Theiler window; if none did, the
-    radius was too small.  A caller scanning several radii at one m may
-    pass tree, a cKDTree over emb.points[:len(emb) - t_max]; a tree over
-    any other number of points is rejected.  Without one the curve builds
-    its own.
+    dropped.  n_references counts the references that kept a neighbor
+    outside the Theiler window; if none did, the radius was too small.
+    This is the scan's pipeline run at one radius.
     """
     _check_settings((epsilon,), theiler, t_max)
-    points = emb.points
-    usable = _usable_points(emb, t_max)
-    if tree is None:
-        tree = cKDTree(points[:usable], **TREE_OPTIONS)
-    elif tree.n != usable:
-        raise ValueError(
-            f"tree indexes {tree.n} points; it must index the {usable} points "
-            f"with t_max = {t_max} future samples"
-        )
-    # Every usable point when there are no more than N_REFERENCES of them.
-    refs = np.unique(np.linspace(0, usable - 1, N_REFERENCES).astype(np.int64))
-    win = sliding_window_view(np.ascontiguousarray(emb.scalar_track), t_max + 1)
-    offsets = np.arange(t_max + 1)
-    sums = np.zeros(t_max + 1)
-    counts = np.zeros(t_max + 1, dtype=np.int64)
-    n_used = 0
-    for lo in range(0, refs.size, _QUERY_BLOCK):
-        block = _block_neighbors(tree, points, refs[lo : lo + _QUERY_BLOCK], epsilon,
-                                 theiler)
-        n_used += _add_block(sums, counts, win, *block)
-        del block  # freed before the next block's query
-    if n_used == 0:
-        raise NeighborhoodError(
-            f"no neighborhood within epsilon = {epsilon:g}; increase epsilon"
-        )
-    defined = counts > 0
-    return LyapunovCurve(
-        t_offsets=offsets[defined],
-        s_values=sums[defined] / counts[defined],
-        epsilon=epsilon,
-        m=emb.m,
-        delay=emb.delay,
-        theiler=theiler,
-        dt=emb.dt,
-        n_references=n_used,
-    )
+    (curve,) = _divergence_curves([(emb, theiler)], (epsilon,), t_max)
+    if curve.n_references == 0:
+        raise NeighborhoodError(_no_neighborhood(epsilon))
+    return curve
 
 
 def fit_slope(curve: LyapunovCurve, window: tuple[int, int]) -> float:
@@ -322,9 +353,12 @@ def lyapunov_scan(
     The series is mapped onto [0, 1] (slopes are scale-invariant, radii
     become comparable across systems), embedded at each m with the
     autocorrelation delay, and each (m, epsilon) curve is fitted over its
-    linear rise; the radii at one m share one k-d tree.  Per-dimension
-    estimates are averaged over radii; their overall mean and spread
-    (max - min across m) are reported.  m_values and epsilons must be
+    linear rise; the radii at one m share one k-d tree.  A radius whose
+    curve has fewer than MIN_FIT_POINTS defined offsets (no neighborhood,
+    or zero divergence at all but a few offsets) has failed and is left
+    out; NeighborhoodError names every reason if all radii fail.
+    Per-dimension estimates are averaged over radii; their overall mean and
+    spread (max - min across m) are reported.  m_values and epsilons must be
     non-empty and must not repeat.  Every setting is checked before any work
     is done.
     """
@@ -342,24 +376,15 @@ def lyapunov_scan(
     delay = autocorr_delay(normed)
     if t_max is None:
         t_max = min(600, max(30, (len(normed) - 2) // 4))
-    curves = []
-    failures = []
-    for m in m_values:
-        emb = delay_embed(normed, m, delay)
-        th = theiler if theiler is not None else 2 * delay * m
-        tree = cKDTree(emb.points[: _usable_points(emb, t_max)], **TREE_OPTIONS)
-        for eps in epsilons:
-            try:
-                curve = lyapunov_curve(emb, eps, th, t_max, tree=tree)
-            except NeighborhoodError as exc:
-                failures.append(str(exc))
-                continue
-            curves.append(fitted(curve))
-        del tree  # freed before the next m builds, so one tree is alive at a time
+    grid = ((delay_embed(normed, m, delay), theiler if theiler is not None else 2 * delay * m)
+            for m in m_values)
+    results = _divergence_curves(grid, epsilons, t_max)
+    curves = [fitted(curve) for curve in results if curve.t_offsets.size >= MIN_FIT_POINTS]
     if not curves:
+        empty = all(curve.n_references == 0 for curve in results)
         raise NeighborhoodError(
-            "every radius left all neighborhoods empty; increase epsilons "
-            f"({'; '.join(failures)})"
+            ("every radius left all neighborhoods empty; increase epsilons" if empty
+             else "every radius failed") + f" ({'; '.join(map(_failure, results))})"
         )
     by_m: dict[int, list[float]] = {}
     for curve in curves:

@@ -2,14 +2,16 @@
 the full recurrence matrix that recurrence tests check against, the
 autocorrelation delay from an FFT of twice the series length, the
 spectral kernel's level rule that phases every level of nonzero weight,
-its dense contraction as one product over the whole block, and the bjj
-series through one complex eigh of the whole Hamiltonian."""
+its dense contraction as one product over the whole block, the bjj
+series through one complex eigh of the whole Hamiltonian, and a series
+that repeats one period exactly."""
 
 import numpy as np
 import pytest
 
 from qnldyn import spectral
 from qnldyn.morse import MORSE_PRESETS, build_eigenbasis
+from qnldyn.series import TimeSeries
 from qnldyn.tsa.embedding import MAX_DELAY_LAG
 
 
@@ -102,3 +104,14 @@ def _full_eigh_series(state, ops, plan, observable):
 def full_eigh_series():
     """_full_eigh_series, the oracle the parity-sector series is held to."""
     return _full_eigh_series
+
+
+@pytest.fixture(scope="session")
+def tiled_period():
+    """One 10-sample period repeated 300 times, exactly: a neighbor in the
+    same phase shares its reference's future, so its gap is 0 at every
+    offset.  Embedded at the autocorrelation delay (5) with m = 3, 4 or 5,
+    the phases lie 0.020 to 0.026 apart on the normalized range."""
+    k = np.arange(10)
+    period = np.sin(2 * np.pi * k / 10) + 0.3 * np.cos(6 * np.pi * k / 10)
+    return TimeSeries(np.tile(period, 300), 1.0)

@@ -253,6 +253,24 @@ def test_exit_code_two_for_numerical_contract_violation(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("t_max", [[], ["--t-max", "3"]], ids=["auto", "3"])
+def test_analyze_lyap_drops_radii_with_zero_divergence(tmp_path, capsys, tiled_period, t_max):
+    """An exactly repeating series: at the radii below the spacing of its
+    phases every mean gap is 0, so those curves have no defined offset.
+    They fail like empty neighborhoods: left out, or exit 2 if all fail."""
+    path = str(tmp_path / "tiled.csv")
+    write_series(path, tiled_period)
+    assert main(["analyze", "lyap", path, *t_max]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["tiled.csv"] + [
+        f"tiled.csv.lyap.m{m}.eps0.04.csv" for m in (3, 4, 5)]
+    assert "lambda_max=" in capsys.readouterr().out
+    code = main(["analyze", "lyap", path, "--epsilon", "0.01", "--epsilon", "0.02", *t_max])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical contract violated: every radius failed (m = 3, ")
+    assert err.count("zero divergence at all but 0 offsets") == 6
+
+
 @pytest.mark.parametrize("axis", ["x", "p"])
 def test_quartic_moment_at_large_occupation_is_not_rejected(tmp_path, axis):
     """<x^4> ~ 2.5e7 at |alpha|^2 = 2500: one rounding of it is 3.7e-9, so an

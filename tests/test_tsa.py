@@ -13,6 +13,8 @@ Oracles kept here: the divergence curve with its own k-d tree per radius
 and an index gather, and the diagonal-line lengths ordered by lexsort.
 """
 
+import threading
+import time
 import tracemalloc
 import weakref
 from unittest import mock
@@ -560,6 +562,22 @@ def test_tiny_radius_raises_neighborhood_error():
         lyapunov_curve(emb, 1e-12, theiler=2, t_max=10)
 
 
+@pytest.mark.parametrize("t_max", [None, 3])
+def test_scan_fails_radii_with_zero_divergence(tiled_period, t_max):
+    # below the phases' spacing every neighbor is in its reference's phase
+    with pytest.raises(NeighborhoodError, match=r"^every radius failed \(m = 3, epsilon = 0.01: "
+                                                r"zero divergence at all but 0 offsets;") as info:
+        lyapunov_scan(tiled_period, epsilons=(0.01, 0.02), t_max=t_max)
+    assert str(info.value).count("zero divergence at all but 0 offsets") == 6
+
+
+def test_scan_leaves_a_zero_divergence_radius_out_of_lambda(tiled_period):
+    # 0.04 reaches the neighboring phases, whose futures part
+    scan = lyapunov_scan(tiled_period)
+    assert [(c.m, c.epsilon) for c in scan.curves] == [(3, 0.04), (4, 0.04), (5, 0.04)]
+    assert scan.lambda_by_m == {c.m: c.lambda_max for c in scan.curves}
+
+
 def test_lyapunov_validation():
     emb = delay_embed(TimeSeries(np.arange(100.0), 1.0), 2, 1)
     with pytest.raises(ValueError):
@@ -570,21 +588,6 @@ def test_lyapunov_validation():
         lyapunov_curve(emb, 0.1, theiler=2, t_max=0)
     with pytest.raises(ValueError):
         lyapunov_curve(emb, 0.1, theiler=2, t_max=99)
-
-
-def _logistic_embedding():
-    """Logistic series of 2000 samples at m = 2: 1999 points, 1979 usable at t_max 20."""
-    return delay_embed(normalize_series(logistic_series(2000)), 2, 1)
-
-
-@pytest.mark.parametrize("n_indexed", [1999, 500], ids=["all_points", "first_500"])
-def test_curve_rejects_a_tree_over_other_points(n_indexed):
-    # all 1999 points would index futures past the track; the first 500
-    # would quietly restrict every neighborhood
-    emb = _logistic_embedding()
-    tree = cKDTree(emb.points[:n_indexed])
-    with pytest.raises(ValueError, match=f"tree indexes {n_indexed} points"):
-        lyapunov_curve(emb, 0.05, theiler=2, t_max=20, tree=tree)
 
 
 @pytest.mark.baseline_kernels
@@ -720,12 +723,11 @@ def test_scan_equals_per_radius_tree_oracle(series):
     max_neighbors=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_curve_with_shared_tree_equals_oracle_on_random_clouds(
+def test_curve_equals_oracle_on_random_clouds(
     n, m, epsilon, theiler, t_max, n_ref, max_neighbors, seed
 ):
     points = np.random.default_rng(seed).random((n, m))
     emb = EmbeddedSeries(points, m, 1, 0.5)
-    usable = n - t_max
     try:
         expected = _curve_per_radius_tree(emb, epsilon, theiler, t_max, n_ref, max_neighbors)
     except NeighborhoodError:
@@ -733,10 +735,8 @@ def test_curve_with_shared_tree_equals_oracle_on_random_clouds(
             lyapunov_curve(emb, epsilon, theiler, t_max)
         return
     with _counts(n_ref, max_neighbors):
-        own = lyapunov_curve(emb, epsilon, theiler, t_max)
-        shared = lyapunov_curve(emb, epsilon, theiler, t_max, tree=cKDTree(points[:usable]))
-    assert_same_curve(own, expected)
-    assert_same_curve(shared, expected)
+        curve = lyapunov_curve(emb, epsilon, theiler, t_max)
+    assert_same_curve(curve, expected)
 
 
 @pytest.mark.baseline_kernels
@@ -786,6 +786,76 @@ def test_curve_equals_oracle_across_query_blocks(
     assert_same_curve(curve, expected)
 
 
+@pytest.mark.baseline_kernels
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(80, 400),
+    m_values=st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+    epsilons=st.lists(st.floats(0.02, 0.4), min_size=1, max_size=3, unique=True),
+    t_max=st.integers(6, 20),
+    max_neighbors=st.integers(1, 12),
+    block=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_equals_oracle_across_query_blocks(
+    n, m_values, epsilons, t_max, max_neighbors, block, seed
+):
+    # many blocks per curve, so the next radius and the next m start while
+    # the last blocks of a curve are still queued for the gather
+    series = TimeSeries(np.random.default_rng(seed).random(n), 1.0)
+    with mock.patch.object(lyapunov, "_QUERY_BLOCK", block):
+        assert_scan_matches_oracle(series, tuple(m_values), tuple(epsilons), n_ref=n,
+                                   max_neighbors=max_neighbors, t_max=t_max)
+
+
+@pytest.mark.baseline_kernels
+def test_scan_is_independent_of_gather_timing():
+    # every other gather stalls, so blocks of several curves queue behind it;
+    # the sums must still be formed in reference order
+    real, calls = lyapunov._add_block, []
+
+    def uneven(*args):
+        calls.append(None)
+        if len(calls) % 2:
+            time.sleep(0.003)
+        real(*args)
+
+    with mock.patch.multiple(lyapunov, _add_block=uneven, _QUERY_BLOCK=16):
+        assert_scan_matches_oracle(logistic_series(1500), (2, 3), (0.02, 0.05), n_ref=300,
+                                   max_neighbors=8, t_max=20)
+    assert len(calls) == 2 * 2 * 19  # 300 references in blocks of 16, 4 curves
+
+
+class GatherFault(Exception):
+    pass
+
+
+def test_no_thread_outlives_the_scan():
+    series = logistic_series(3000)
+    grid = {"m_values": (2, 3), "t_max": 20}
+    before = threading.enumerate()
+    lyapunov_scan(series, epsilons=(0.02, 0.05), **grid)
+    assert threading.enumerate() == before
+    with pytest.raises(NeighborhoodError, match="every radius left all neighborhoods empty"):
+        lyapunov_scan(series, epsilons=(1e-12, 1e-11), **grid)
+    assert threading.enumerate() == before
+
+    real, calls = lyapunov._add_block, []
+
+    def fails_third(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise GatherFault("third gather")
+        real(*args)
+
+    with mock.patch.multiple(lyapunov, _add_block=fails_third, _QUERY_BLOCK=64), \
+            pytest.raises(GatherFault, match="third gather"):
+        lyapunov_scan(series, epsilons=(0.02, 0.05), **grid)
+    assert threading.enumerate() == before
+    # the failure stops the scan: at most the block queued behind it is gathered
+    assert 3 <= len(calls) <= 4
+
+
 def test_scan_builds_one_tree_per_m_and_one_at_a_time(monkeypatch):
     built = []  # weak references to every tree the scan built
 
@@ -817,7 +887,7 @@ def test_neighbor_lists_are_held_one_block_at_a_time():
         del all_lists
         tracemalloc.reset_peak()
         with mock.patch.object(lyapunov, "N_REFERENCES", n):
-            lyapunov_curve(emb, eps, theiler=2, t_max=t_max, tree=tree)
+            lyapunov_curve(emb, eps, theiler=2, t_max=t_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
